@@ -12,7 +12,6 @@ from .circuits import (
     NOT,
     TOFFOLI,
     Circuit,
-    DualRailFunction,
     Gate,
     GateKind,
     apply_gate,

@@ -25,7 +25,7 @@ from types import MappingProxyType
 from typing import Iterator, Mapping
 
 from .errors import LineOutOfRange, NotReversible, ParseError, TooWide, WidthMismatch
-from .tables import MAX_WIDTH, BitWord, TruthTable, is_reversible
+from .tables import MAX_WIDTH, BitWord, TruthTable, is_reversible, meaningful_lines
 
 
 class GateKind(Enum):
@@ -197,11 +197,8 @@ def simulate(circuit: Circuit, inputs: BitWord) -> BitWord:
 
     Ancilla lines take their declared constants; garbage lines are retained.
     """
-    if inputs.width != len(circuit.free_lines):
-        raise WidthMismatch(
-            f"circuit takes {len(circuit.free_lines)} free input bits, got {inputs.width}"
-        )
-    return BitWord(circuit.width, _run(circuit, _load_word(circuit, inputs.value)))
+    *_, final = step_states(circuit, inputs)
+    return final
 
 
 def to_truth_table(circuit: Circuit) -> TruthTable:
@@ -245,18 +242,6 @@ def drop_garbage(t: TruthTable, positions: frozenset[int] | set[int]) -> tuple[T
     return TruthTable(t.in_width, kept_width, rows), lost
 
 
-@dataclass(frozen=True)
-class DualRailFunction:
-    """A reversible n-bit table together with its 2n-bit dual-rail embedding."""
-
-    base: TruthTable
-    embedded: TruthTable
-
-    @property
-    def rail_width(self) -> int:
-        return self.base.in_width
-
-
 def dual_rail_codeword(x: int, n: int) -> int:
     """The 2n-bit codeword carrying x on the first rail and its complement on
     the second."""
@@ -264,9 +249,9 @@ def dual_rail_codeword(x: int, n: int) -> int:
     return (x & mask) << n | (~x & mask)
 
 
-def dual_rail_embed(f: TruthTable) -> DualRailFunction:
+def dual_rail_embed(f: TruthTable) -> TruthTable:
     """Embed a reversible n-bit function into 2n bits, one rail per bit plus
-    its complement.
+    its complement, and return the 2n-bit table.
 
     On a codeword (x, ~x) the output is (f(x), ~f(x)), so both sides always
     carry exactly n set bits: the embedding is conservative on codewords even
@@ -285,8 +270,7 @@ def dual_rail_embed(f: TruthTable) -> DualRailFunction:
         x = word >> n
         y = word & mask
         rows.append(f.rows[x] << n | (~f.rows[~y & mask] & mask))
-    embedded = TruthTable(2 * n, 2 * n, tuple(rows))
-    return DualRailFunction(base=f, embedded=embedded)
+    return TruthTable(2 * n, 2 * n, tuple(rows))
 
 
 _MNEMONICS = {kind.value: kind for kind in GateKind}
@@ -298,12 +282,8 @@ def parse_circuit(text: str) -> Circuit:
     gates: list[Gate] = []
     ancillas: dict[int, int] = {}
     garbage: set[int] = set()
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        word, args = parts[0], parts[1:]
+    for line in meaningful_lines(text):
+        word, *args = line.split()
         if width is None:
             if word != "lines" or len(args) != 1:
                 raise ParseError(f"expected 'lines <width>' header, got {line!r}")

@@ -255,7 +255,8 @@ def check_bound(ledger: DissipationLedger, bits: BoundInput, params: EnergyParam
 
     Bit counts are cross-checked against whichever stages the ledger actually
     contains; a conflict raises DimensionMismatch. Stages absent from the
-    ledger are taken on faith from `bits`.
+    ledger are taken on faith from `bits`. The total may fall short of the
+    floor by one part in 1e9 of the floor, which absorbs summation rounding.
     """
     own = matching_bound(ledger)
     present = {entry.stage for entry in ledger.entries}
@@ -270,7 +271,7 @@ def check_bound(ledger: DissipationLedger, bits: BoundInput, params: EnergyParam
             raise DimensionMismatch(
                 f"ledger {stage.value} bits total {have}, bound says {name}={want}"
             )
-    return ledger.total >= lower_bound(bits, params) - 1e-30
+    return ledger.total >= lower_bound(bits, params) * (1.0 - 1e-9)
 
 
 def sci6(x: float) -> str:
@@ -289,21 +290,21 @@ def format_ledger(
     params: EnergyParams,
     bits: BoundInput | None = None,
 ) -> str:
-    """Line-oriented report: one line per entry, then totals and the bound
-    verdict. The bound defaults to the one the ledger itself justifies."""
-    if bits is None:
-        bits = matching_bound(ledger)
+    """Line-oriented rendering of `ledger_dict`: one line per entry, then
+    totals and the bound verdict."""
+    report = ledger_dict(ledger, params, bits)
+    bound = report["bound"]
     lines = [
-        f"{entry.stage.value:<12} bits={entry.bits:<4d} {sci6(entry.joules)} J"
-        for entry in ledger.entries
+        f"{entry['stage']:<12} bits={entry['bits']:<4d} {sci6(entry['joules'])} J"
+        for entry in report["entries"]
     ]
-    lines.append(f"total {sci6(ledger.total)} J")
+    lines.append(f"total {sci6(report['total'])} J")
     lines.append(
-        f"bound {sci6(lower_bound(bits, params))} J"
-        f" (k={bits.k} l={bits.l} i_r={bits.i_r} n_pr={bits.n_pr})"
+        f"bound {sci6(bound['joules'])} J"
+        f" (k={bound['k']} l={bound['l']} i_r={bound['i_r']} n_pr={bound['n_pr']})"
     )
-    lines.append(f"bound met: {'yes' if check_bound(ledger, bits, params) else 'no'}")
-    lines.append(f"observable: {'yes' if ledger.observable else 'no'}")
+    lines.append(f"bound met: {'yes' if bound['met'] else 'no'}")
+    lines.append(f"observable: {'yes' if report['observable'] else 'no'}")
     return "\n".join(lines) + "\n"
 
 
@@ -312,7 +313,9 @@ def ledger_dict(
     params: EnergyParams,
     bits: BoundInput | None = None,
 ) -> dict:
-    """The same report as a plain structure for machine consumption."""
+    """The ledger report as a plain structure: its entries, total, and the
+    bound with its verdict. The bound defaults to the one the ledger itself
+    justifies."""
     if bits is None:
         bits = matching_bound(ledger)
     return {

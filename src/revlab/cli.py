@@ -30,24 +30,22 @@ from .classify import (
 from .energy import EnergyParams, parse_params
 from .errors import ParseError, RevlabError
 from .quantum import Branch, parse_program, program_qubits, run_program, sample_program
-from .tables import BitWord, TruthTable, format_table, invert, is_conservative, is_reversible, parse_table
+from .tables import BitWord, TruthTable, format_table, invert, is_conservative, is_reversible, meaningful_lines, parse_table
 
 _EPILOG = "Bit strings are most-significant line first: line 0 is the leftmost character."
 
 
 def _load_any(path: str) -> TruthTable | Circuit:
     text = Path(path).read_text()
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head = line.split()[0]
-        if head == "table":
-            return parse_table(text)
-        if head == "lines":
-            return parse_circuit(text)
-        raise ParseError(f"expected a 'table' or 'lines' header, got {head!r}")
-    raise ParseError(f"{path}: no content")
+    first = next(meaningful_lines(text), None)
+    if first is None:
+        raise ParseError(f"{path}: no content")
+    head = first.split()[0]
+    if head == "table":
+        return parse_table(text)
+    if head == "lines":
+        return parse_circuit(text)
+    raise ParseError(f"expected a 'table' or 'lines' header, got {head!r}")
 
 
 def _load_circuit(path: str) -> Circuit:
@@ -61,100 +59,89 @@ def _as_table(loaded: TruthTable | Circuit) -> TruthTable:
     return loaded if isinstance(loaded, TruthTable) else to_truth_table(loaded)
 
 
-def _emit(args: argparse.Namespace, text: str, payload: dict) -> None:
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        sys.stdout.write(text)
-
-
 def _yn(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
+# Each verb returns its exit code and its report, rendered only in the format
+# that was asked for: the text bytes, or a structure main prints as JSON.
+def _cmd_check(args: argparse.Namespace) -> tuple[int, str | dict]:
     table = _as_table(_load_any(args.file))
     reversible = is_reversible(table)
     conservative = is_conservative(table)
-    _emit(
-        args,
-        f"reversible: {_yn(reversible)}, conservative: {_yn(conservative)}\n",
-        {"reversible": reversible, "conservative": conservative},
-    )
-    return 0 if reversible else 1
+    code = 0 if reversible else 1
+    if args.format == "json":
+        return code, {"reversible": reversible, "conservative": conservative}
+    return code, f"reversible: {_yn(reversible)}, conservative: {_yn(conservative)}\n"
 
 
-def _cmd_sim(args: argparse.Namespace) -> int:
+def _cmd_sim(args: argparse.Namespace) -> tuple[int, str | dict]:
     loaded = _load_any(args.file)
     word = BitWord.from_string(args.input)
     if isinstance(loaded, TruthTable):
         out = loaded.apply(word)
     else:
         out = simulate(loaded, word)
-    _emit(args, f"{out}\n", {"input": str(word), "output": str(out)})
-    return 0
+    if args.format == "json":
+        return 0, {"input": str(word), "output": str(out)}
+    return 0, f"{out}\n"
 
 
-def _cmd_invert(args: argparse.Namespace) -> int:
+def _cmd_invert(args: argparse.Namespace) -> tuple[int, str | dict]:
     loaded = _load_any(args.file)
     if isinstance(loaded, TruthTable):
         rendered = format_table(invert(loaded))
     else:
         rendered = format_circuit(invert_circuit(loaded))
-    _emit(args, rendered, {"inverse": rendered})
-    return 0
+    return 0, {"inverse": rendered} if args.format == "json" else rendered
 
 
-def _cmd_dualrail(args: argparse.Namespace) -> int:
+def _cmd_dualrail(args: argparse.Namespace) -> tuple[int, str | dict]:
     base = _as_table(_load_any(args.file))
-    pair = dual_rail_embed(base)
-    _emit(
-        args,
-        format_table(pair.embedded),
-        {
-            "rail_width": pair.rail_width,
-            "in_width": pair.embedded.in_width,
-            "out_width": pair.embedded.out_width,
-            "rows": list(pair.embedded.rows),
-        },
-    )
-    return 0
+    embedded = dual_rail_embed(base)
+    if args.format == "json":
+        return 0, {
+            "rail_width": base.in_width,
+            "in_width": embedded.in_width,
+            "out_width": embedded.out_width,
+            "rows": embedded.rows,
+        }
+    return 0, format_table(embedded)
 
 
-def _profile_from(args: argparse.Namespace) -> SystemProfile:
-    env = Environment.CLOSED if args.closed else Environment.TRANSFER
-    style = (
-        ControlStyle.CYCLIC_TAG_REVERSIBLE
-        if args.cyclic_tag
-        else ControlStyle.EXTERNAL_IRREVERSIBLE
-    )
+def _profile_from(args: argparse.Namespace, **knobs) -> SystemProfile:
+    """A profile with the environment and control style set by --closed and
+    --cyclic-tag, plus the verb's own capability flags or ledger knobs."""
     return SystemProfile(
-        environment=env,
-        control_style=style,
-        ideal_transmission=args.ideal_wires,
-        instruction_bits=args.instruction_bits,
-        recovered_fraction=args.recovered_fraction,
-        reconfiguration_units=args.reconfig_units,
+        environment=Environment.CLOSED if args.closed else Environment.TRANSFER,
+        control_style=(
+            ControlStyle.CYCLIC_TAG_REVERSIBLE
+            if args.cyclic_tag
+            else ControlStyle.EXTERNAL_IRREVERSIBLE
+        ),
+        **knobs,
     )
 
 
 def _params_from(args: argparse.Namespace) -> EnergyParams:
     params = parse_params(Path(args.tech).read_text()) if args.tech else EnergyParams()
-    overrides = {}
-    if args.temp is not None:
-        overrides["T"] = args.temp
-    if getattr(args, "freq", None) is not None:
-        overrides["f"] = args.freq
-    return dataclasses.replace(params, **overrides) if overrides else params
+    overrides = {"T": args.temp, "f": args.freq}
+    return dataclasses.replace(params, **{k: v for k, v in overrides.items() if v is not None})
 
 
-def _cmd_energy(args: argparse.Namespace) -> int:
+def _cmd_energy(args: argparse.Namespace) -> tuple[int, str | dict]:
     circuit = _load_circuit(args.file)
     params = _params_from(args)
-    profile = _profile_from(args)
+    profile = _profile_from(
+        args,
+        ideal_transmission=args.ideal_wires,
+        instruction_bits=args.instruction_bits,
+        recovered_fraction=args.recovered_fraction,
+        reconfiguration_units=args.reconfig_units,
+    )
     ledger = run_ledger(circuit, BitWord.from_string(args.input), profile, params)
-    _emit(args, format_ledger(ledger, params), ledger_dict(ledger, params))
-    return 0
+    render = ledger_dict if args.format == "json" else format_ledger
+    return 0, render(ledger, params)
 
 
 def _branch_payload(branch: Branch, n_qubits: int) -> dict:
@@ -175,16 +162,22 @@ def _branch_payload(branch: Branch, n_qubits: int) -> dict:
     }
 
 
-def _branch_text(branch: Branch, n_qubits: int) -> list[str]:
-    history = "".join(str(o) for o in branch.outcomes) or "-"
-    lines = [f"outcome {history} p={branch.probability:.6f}"]
-    for entry in _branch_payload(branch, n_qubits)["amplitudes"]:
-        basis = entry["basis"] or "-"
-        lines.append(f"  {basis} {entry['re']:.6f}{entry['im']:+.6f}i")
-    return lines
+def _quantum_text(report: dict) -> str:
+    lines = []
+    for branch in report["branches"]:
+        history = "".join(map(str, branch["outcomes"])) or "-"
+        lines.append(f"outcome {history} p={branch['probability']:.6f}")
+        for amp in branch["amplitudes"]:
+            lines.append(f"  {amp['basis'] or '-'} {amp['re']:.6f}{amp['im']:+.6f}i")
+    measurement = report["measurement"]
+    if measurement["bits"]:
+        lines.append(
+            f"measurement dissipation: {measurement['bits']} bits, {sci6(measurement['joules'])} J"
+        )
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_quantum(args: argparse.Namespace) -> int:
+def _cmd_quantum(args: argparse.Namespace) -> tuple[int, str | dict]:
     ops = list(parse_program(Path(args.file).read_text()))
     for qubit in args.measure or []:
         ops.extend(parse_program(f"MEASURE {qubit}"))
@@ -194,38 +187,28 @@ def _cmd_quantum(args: argparse.Namespace) -> int:
     else:
         branches = run_program(ops, n_qubits)
     measured = sum(1 for op in ops if op.name == "MEASURE")
-    params = EnergyParams(T=args.temp) if args.temp is not None else EnergyParams()
-    entry = measurement_entry(measured, params)
-    lines: list[str] = []
-    for branch in branches:
-        lines.extend(_branch_text(branch, n_qubits))
-    if measured:
-        lines.append(f"measurement dissipation: {entry.bits} bits, {sci6(entry.joules)} J")
-    payload = {
+    entry = measurement_entry(measured, _params_from(args))
+    report = {
         "qubits": n_qubits,
         "branches": [_branch_payload(b, n_qubits) for b in branches],
         "measurement": {"bits": entry.bits, "joules": entry.joules},
     }
-    _emit(args, "\n".join(lines) + "\n", payload)
-    return 0
+    return 0, report if args.format == "json" else _quantum_text(report)
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
-    profile = SystemProfile(
-        logical_reversible_components=args.logical_reversible,
-        software_tracked_only=args.software_tracked,
-        energy_conservative_components=args.energy_conservative,
-        ideal_transmission=args.ideal_transmission,
-        environment=Environment.CLOSED if args.closed else Environment.TRANSFER,
-        control_style=(
-            ControlStyle.CYCLIC_TAG_REVERSIBLE
-            if args.cyclic_tag
-            else ControlStyle.EXTERNAL_IRREVERSIBLE
-        ),
+def _cmd_classify(args: argparse.Namespace) -> tuple[int, str | dict]:
+    level = classify(
+        _profile_from(
+            args,
+            logical_reversible_components=args.logical_reversible,
+            software_tracked_only=args.software_tracked,
+            energy_conservative_components=args.energy_conservative,
+            ideal_transmission=args.ideal_transmission,
+        )
     )
-    level = classify(profile)
-    _emit(args, f"level: {level.name}\n", {"level": level.name, "rank": int(level)})
-    return 0
+    if args.format == "json":
+        return 0, {"level": level.name, "rank": int(level)}
+    return 0, f"level: {level.name}\n"
 
 
 def _add_profile_flags(sub: argparse.ArgumentParser) -> None:
@@ -301,7 +284,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument("--sample", type=int, metavar="SEED", help="sample one path instead of enumerating branches")
     sub.add_argument("--temp", type=float, metavar="K", help="temperature for measurement dissipation")
-    sub.set_defaults(handler=_cmd_quantum)
+    # measurement is priced with the default technology, at --temp if given
+    sub.set_defaults(handler=_cmd_quantum, tech=None, freq=None)
 
     sub = subs.add_parser("classify", parents=[common], help="reversibility level of a profile")
     sub.add_argument("--software-tracked", action="store_true", help="history kept by software only")
@@ -319,19 +303,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
-    except ParseError as exc:
+        code, report = args.handler(args)
+    except (RevlabError, OSError, ValueError) as exc:
         print(f"{args.verb}: {exc}", file=sys.stderr)
-        return 2
-    except RevlabError as exc:
-        print(f"{args.verb}: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"{args.verb}: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"{args.verb}: {exc}", file=sys.stderr)
-        return 2
+        # exit 1 for a domain error; 2 for a parse error, an unreadable file
+        # or a bad value, which are usage errors
+        domain = isinstance(exc, RevlabError) and not isinstance(exc, ParseError)
+        return 1 if domain else 2
+    if isinstance(report, str):
+        sys.stdout.write(report)
+    else:
+        print(json.dumps(report, indent=2))
+    return code
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from .errors import MissingParameter, ParseError, ZeroFrequency
+from .tables import meaningful_lines
 
 # aluminum interconnect on a 1.2 um process, 5 V rail, 1 GHz clock
 _DEFAULTS = {
@@ -193,10 +194,7 @@ _FIELD_NAMES = tuple(fld.name for fld in fields(EnergyParams))
 def parse_params(text: str) -> EnergyParams:
     """Parse a parameter file; unlisted keys keep their defaults."""
     values: dict[str, float] = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line in meaningful_lines(text):
         if "=" not in line:
             raise ParseError(f"expected 'key = value', got {line!r}")
         key, _, token = (part.strip() for part in line.partition("="))

@@ -23,7 +23,7 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
-from typing import ClassVar, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .errors import (
     TooWide,
     ZeroNorm,
 )
-from .tables import TruthTable, is_reversible
+from .tables import TruthTable, is_reversible, meaningful_lines
 
 MAX_QUBITS = 10
 UNITARY_TOL = 1e-10
@@ -141,8 +141,6 @@ class MeasurementOutcome:
     probability: float
     post_state: np.ndarray
 
-    irreversible: ClassVar[bool] = True
-
 
 def measure(state: np.ndarray, qubit: int) -> list[MeasurementOutcome]:
     """Measure one qubit in the computational basis.
@@ -192,12 +190,8 @@ class Branch:
 def parse_program(text: str) -> tuple[Op, ...]:
     """Parse the program text format (see module docstring)."""
     ops: list[Op] = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        name, args = parts[0], parts[1:]
+    for line in meaningful_lines(text):
+        name, *args = line.split()
         if name == "MEASURE":
             if len(args) != 1:
                 raise ParseError(f"expected 'MEASURE <qubit>', got {line!r}")
@@ -222,18 +216,6 @@ def parse_program(text: str) -> tuple[Op, ...]:
             raise ParseError(f"duplicate qubit in {line!r}")
         ops.append(Op(name, qubits, theta))
     return tuple(ops)
-
-
-def format_program(ops: Sequence[Op]) -> str:
-    """Render ops in the program text format."""
-    lines = []
-    for op in ops:
-        fields = [op.name]
-        if op.theta is not None:
-            fields.append(repr(op.theta))
-        fields.extend(str(q) for q in op.qubits)
-        lines.append(" ".join(fields))
-    return "\n".join(lines) + "\n" if lines else ""
 
 
 def program_qubits(ops: Sequence[Op], n_qubits: int | None = None) -> int:

@@ -14,6 +14,7 @@ character, so the string is the plain binary rendering of the word value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import NotReversible, ParseError, WidthMismatch
 
@@ -25,15 +26,16 @@ class BitWord:
     """An unsigned word of a fixed bit width.
 
     Width 0 (the empty word) is allowed so that circuits with no free lines
-    can still be simulated.
+    can still be simulated. Words are not capped: only tables, which list
+    every input word, are held to MAX_WIDTH.
     """
 
     width: int
     value: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.width <= MAX_WIDTH:
-            raise ValueError(f"width must be in 0..{MAX_WIDTH}, got {self.width}")
+        if self.width < 0:
+            raise ValueError(f"width must be non-negative, got {self.width}")
         if not 0 <= self.value < (1 << self.width):
             raise ValueError(f"value {self.value} does not fit in {self.width} bits")
 
@@ -148,21 +150,22 @@ def parse_table(text: str) -> TruthTable:
     ``bits -> bits`` row per line. '#' starts a comment. Every input word must
     be listed exactly once; unlisted or repeated inputs are an error.
     """
-    lines = _meaningful_lines(text)
-    if not lines:
+    lines = meaningful_lines(text)
+    header = next(lines, None)
+    if header is None:
         raise ParseError("empty table file")
-    head = lines[0].split()
+    head = header.split()
     if len(head) != 3 or head[0] != "table":
-        raise ParseError(f"expected 'table <in_width> <out_width>', got {lines[0]!r}")
+        raise ParseError(f"expected 'table <in_width> <out_width>', got {header!r}")
     try:
         in_width, out_width = int(head[1]), int(head[2])
     except ValueError as exc:
-        raise ParseError(f"bad table widths in {lines[0]!r}") from exc
+        raise ParseError(f"bad table widths in {header!r}") from exc
     if not 0 <= in_width <= MAX_WIDTH or not 0 <= out_width <= MAX_WIDTH:
         raise ParseError(f"table widths must be in 0..{MAX_WIDTH}")
 
     rows: dict[int, int] = {}
-    for line in lines[1:]:
+    for line in lines:
         parts = line.split("->")
         if len(parts) != 2:
             raise ParseError(f"expected 'bits -> bits', got {line!r}")
@@ -187,10 +190,8 @@ def format_table(t: TruthTable) -> str:
     return "\n".join(out) + "\n"
 
 
-def _meaningful_lines(text: str) -> list[str]:
-    result = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            result.append(line)
-    return result
+def meaningful_lines(text: str) -> Iterator[str]:
+    """The non-blank lines of an input file, stripped, with '#' comments
+    removed. Shared by every text format the toolkit reads."""
+    stripped = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+    return (line for line in stripped if line)

@@ -141,15 +141,15 @@ def test_criterion_3_dual_rail_embedding():
         rows = list(range(1 << n))
         rng.shuffle(rows)
         base = TruthTable(n, n, tuple(rows))
-        pair = dual_rail_embed(base)
-        if not is_reversible(pair.embedded):
+        embedded = dual_rail_embed(base)
+        if not is_reversible(embedded):
             failures.append(f"trial {trial}: embedding not bijective on the 2n-bit space")
             break
         weight_bad = next(
             (
                 x
                 for x in range(1 << n)
-                if pair.embedded(dual_rail_codeword(x, n)).bit_count() != n
+                if embedded(dual_rail_codeword(x, n)).bit_count() != n
             ),
             None,
         )

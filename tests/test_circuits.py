@@ -217,9 +217,9 @@ def test_dual_rail_codeword_layout():
 
 def test_dual_rail_known_mapping():
     base = to_truth_table(Circuit(2, (CNOT(0, 1),)))
-    pair = dual_rail_embed(base)
+    embedded = dual_rail_embed(base)
     codeword = dual_rail_codeword(0b10, 2)
-    assert BitWord(4, pair.embedded(codeword)) == BitWord.from_string("1100")
+    assert BitWord(4, embedded(codeword)) == BitWord.from_string("1100")
 
 
 def test_dual_rail_is_reversible_and_weight_preserving():
@@ -229,11 +229,11 @@ def test_dual_rail_is_reversible_and_weight_preserving():
         rows = list(range(1 << n))
         rng.shuffle(rows)
         base = TruthTable(n, n, tuple(rows))
-        pair = dual_rail_embed(base)
-        assert is_reversible(pair.embedded)
+        embedded = dual_rail_embed(base)
+        assert is_reversible(embedded)
         for x in range(1 << n):
             word = dual_rail_codeword(x, n)
-            out = pair.embedded(word)
+            out = embedded(word)
             assert out.bit_count() == n
             # the first rail carries the base function's value
             assert out >> n == base(x)

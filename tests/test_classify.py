@@ -236,6 +236,15 @@ def test_check_bound_equality_counts_as_met():
     assert check_bound(ledger, BoundInput(k=4), PARAMS) is True
 
 
+def test_check_bound_slack_scales_with_bound():
+    # at 1 pK the floor is far below any fixed absolute slack
+    params = EnergyParams(T=1e-12)
+    unit = landauer_per_bit(params)
+    ledger = DissipationLedger((LedgerEntry(Stage.INPUT_SET, 2, 2 * unit),))
+    assert check_bound(ledger, BoundInput(k=2, l=1000), params) is False
+    assert check_bound(ledger, BoundInput(k=2), params) is True
+
+
 def test_bound_survives_random_profiles_with_all_stages():
     rng = random.Random(88)
     kinds = (NOT, CNOT, TOFFOLI, FREDKIN)

@@ -99,6 +99,23 @@ def test_sim_bad_bits_is_usage_error(files, capsys):
     assert "sim" in err
 
 
+WIDE_NET = "lines 17\nCNOT 0 16\nNOT 8\n"
+
+
+def test_sim_is_not_capped_at_table_width(files, capsys):
+    path = files("wide.net", WIDE_NET)
+    code, out, err = run_cli(capsys, "sim", path, "--input", "1" + "0" * 16)
+    assert (code, err) == (0, "")
+    assert out == "1" + "0" * 7 + "1" + "0" * 7 + "1\n"
+
+
+def test_energy_past_the_cap_is_a_domain_error(files, capsys):
+    path = files("wide.net", WIDE_NET)
+    code, out, err = run_cli(capsys, "energy", path, "--input", "0" * 17)
+    assert (code, out) == (1, "")
+    assert err == "energy: cannot enumerate 17 lines (cap 16)\n"
+
+
 def test_invert_round_trip_under_sim(files, capsys, tmp_path):
     rng = random.Random(7)
     mnemonics = {1: "NOT", 2: "CNOT", 3: "TOF"}

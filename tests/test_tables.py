@@ -54,10 +54,19 @@ def test_bitword_validation():
         BitWord(2, 4)
     with pytest.raises(ValueError):
         BitWord(-1, 0)
-    with pytest.raises(ValueError):
-        BitWord(17, 0)
     with pytest.raises(ParseError):
         BitWord.from_string("01x1")
+
+
+def test_width_cap_binds_tables_not_words():
+    # a word is one value, so any width is fine; a table lists every input
+    word = BitWord.from_string("1" * 17)
+    assert word == BitWord(17, (1 << 17) - 1)
+    assert str(BitWord(20, 5)) == "0" * 17 + "101"
+    with pytest.raises(ValueError):
+        TruthTable(17, 17, ())
+    with pytest.raises(ParseError):
+        parse_table("table 17 17\n")
 
 
 def test_truth_table_validation():
