@@ -24,6 +24,8 @@ from enum import Enum
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
+import numpy as np
+
 from .errors import LineOutOfRange, NotReversible, ParseError, TooWide, WidthMismatch
 from .tables import MAX_WIDTH, BitWord, TruthTable, is_reversible, meaningful_lines
 
@@ -82,26 +84,22 @@ def FREDKIN(c: int, t1: int, t2: int) -> Gate:
     return Gate(GateKind.FREDKIN, (c, t1, t2))
 
 
-def _apply_kind(gate: Gate, value: int, width: int) -> int:
+def _apply_kind(gate: Gate, w: int | np.ndarray, width: int) -> int | np.ndarray:
+    """Apply one gate to `w`: a Python int (one word of any width) or a
+    uint32 array (one word per row). No branch depends on the word, so the
+    same arithmetic serves a single simulation and a whole-table enumeration."""
     pos = [width - 1 - line for line in gate.lines]
     kind = gate.kind
     if kind is GateKind.NOT:
-        return value ^ (1 << pos[0])
+        return w ^ 1 << pos[0]
     if kind is GateKind.CNOT:
-        if value >> pos[0] & 1:
-            return value ^ (1 << pos[1])
-        return value
+        return w ^ (w >> pos[0] & 1) << pos[1]
     if kind is GateKind.TOFFOLI:
-        if (value >> pos[0] & 1) and (value >> pos[1] & 1):
-            return value ^ (1 << pos[2])
-        return value
-    # FREDKIN: swap the two targets when the control is set
-    if value >> pos[0] & 1:
-        a = value >> pos[1] & 1
-        b = value >> pos[2] & 1
-        if a != b:
-            return value ^ (1 << pos[1]) ^ (1 << pos[2])
-    return value
+        return w ^ (w >> pos[0] & w >> pos[1] & 1) << pos[2]
+    # FREDKIN: swap the two targets where the control is set and they differ
+    c, a, b = pos
+    d = w >> c & (w >> a ^ w >> b) & 1
+    return w ^ (d << a | d << b)
 
 
 def apply_gate(gate: Gate, state: BitWord) -> BitWord:
@@ -154,37 +152,35 @@ class Circuit:
         """Lines that take free input bits, in word order."""
         return tuple(i for i in range(self.width) if i not in self.ancillas)
 
+    def check_inputs(self, inputs: BitWord) -> None:
+        """Raise WidthMismatch unless `inputs` fills exactly the free lines."""
+        if inputs.width != len(self.free_lines):
+            raise WidthMismatch(
+                f"circuit takes {len(self.free_lines)} free input bits, got {inputs.width}"
+            )
+
     @property
     def output_lines(self) -> tuple[int, ...]:
         """Lines forming the functional output (garbage excluded)."""
         return tuple(i for i in range(self.width) if i not in self.garbage)
 
 
-def _load_word(circuit: Circuit, free_value: int) -> int:
-    word = 0
+def _load_word(circuit: Circuit, free: int | np.ndarray) -> int | np.ndarray:
+    """Place free-input bits on the free lines and the ancilla constants on
+    theirs. `free` is an int or an array of free-input words; the result has
+    the same type, even when the circuit has no free lines."""
+    word = free & 0
     for line, bit in circuit.ancillas.items():
-        if bit:
-            word |= 1 << (circuit.width - 1 - line)
-    free = circuit.free_lines
-    n = len(free)
-    for i, line in enumerate(free):
-        if free_value >> (n - 1 - i) & 1:
-            word |= 1 << (circuit.width - 1 - line)
-    return word
-
-
-def _run(circuit: Circuit, word: int) -> int:
-    for gate in circuit.gates:
-        word = _apply_kind(gate, word, circuit.width)
+        word |= bit << (circuit.width - 1 - line)
+    lines = circuit.free_lines
+    for i, line in enumerate(lines):
+        word |= (free >> (len(lines) - 1 - i) & 1) << (circuit.width - 1 - line)
     return word
 
 
 def step_states(circuit: Circuit, inputs: BitWord) -> Iterator[BitWord]:
     """Yield the full state word after loading and after each gate."""
-    if inputs.width != len(circuit.free_lines):
-        raise WidthMismatch(
-            f"circuit takes {len(circuit.free_lines)} free input bits, got {inputs.width}"
-        )
+    circuit.check_inputs(inputs)
     word = _load_word(circuit, inputs.value)
     yield BitWord(circuit.width, word)
     for gate in circuit.gates:
@@ -207,8 +203,10 @@ def to_truth_table(circuit: Circuit) -> TruthTable:
     if circuit.width > MAX_WIDTH:
         raise TooWide(f"cannot enumerate {circuit.width} lines (cap {MAX_WIDTH})")
     n = len(circuit.free_lines)
-    rows = tuple(_run(circuit, _load_word(circuit, x)) for x in range(1 << n))
-    return TruthTable(n, circuit.width, rows)
+    words = _load_word(circuit, np.arange(1 << n, dtype=np.uint32))
+    for gate in circuit.gates:
+        words = _apply_kind(gate, words, circuit.width)
+    return TruthTable(n, circuit.width, tuple(words.tolist()))
 
 
 def invert_circuit(circuit: Circuit) -> Circuit:
@@ -265,12 +263,10 @@ def dual_rail_embed(f: TruthTable) -> TruthTable:
     if 2 * n > MAX_WIDTH:
         raise TooWide(f"embedding needs {2 * n} lines (cap {MAX_WIDTH})")
     mask = (1 << n) - 1
-    rows = []
-    for word in range(1 << (2 * n)):
-        x = word >> n
-        y = word & mask
-        rows.append(f.rows[x] << n | (~f.rows[~y & mask] & mask))
-    return TruthTable(2 * n, 2 * n, tuple(rows))
+    # word (x, y) maps to (f(x), ~f(~y)); rows run over x, then y
+    r = np.asarray(f.rows, dtype=np.uint32)
+    rows = np.bitwise_or.outer(r << n, mask ^ r[::-1])
+    return TruthTable(2 * n, 2 * n, tuple(rows.ravel().tolist()))
 
 
 _MNEMONICS = {kind.value: kind for kind in GateKind}

@@ -179,6 +179,7 @@ def run_ledger(
       one transcribed bit. A closed run reads nothing out and the ledger is
       marked not observable instead.
     """
+    circuit.check_inputs(inputs)
     unit = landauer_per_bit(params)
     recovery = profile.recovered_fraction
     closed = profile.environment is Environment.CLOSED
@@ -199,10 +200,10 @@ def run_ledger(
         else:
             entries.append(LedgerEntry(Stage.CONTROL, i_r, i_r * unit))
 
-    states = list(step_states(circuit, inputs))
-    pure_gates = Circuit(circuit.width, circuit.gates)
-    conservative = is_conservative(to_truth_table(pure_gates))
-    if not conservative and not closed:
+    # a closed run never prices COMPUTE, so it needs neither the states nor
+    # the conservativity verdict, and so no enumeration
+    if not closed and not is_conservative(to_truth_table(Circuit(circuit.width, circuit.gates))):
+        states = list(step_states(circuit, inputs))
         for before, after in zip(states, states[1:]):
             flipped = (before.value ^ after.value).bit_count()
             joules = flipped * (1.0 - recovery) * unit

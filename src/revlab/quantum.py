@@ -94,8 +94,7 @@ def permutation_matrix(table: TruthTable) -> np.ndarray:
         raise TooWide(f"{table.in_width} qubits exceeds cap {MAX_QUBITS}")
     dim = 1 << table.in_width
     m = np.zeros((dim, dim), dtype=complex)
-    for x, y in enumerate(table.rows):
-        m[y, x] = 1.0
+    m[list(table.rows), np.arange(dim)] = 1.0
     return m
 
 

@@ -116,6 +116,34 @@ def test_energy_past_the_cap_is_a_domain_error(files, capsys):
     assert err == "energy: cannot enumerate 17 lines (cap 16)\n"
 
 
+def test_closed_energy_past_the_cap_needs_no_enumeration(files, capsys):
+    path = files("wide.net", WIDE_NET)
+    code, out, err = run_cli(capsys, "energy", path, "--input", "0" * 17, "--closed")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "INPUT_SET    bits=17   4.766980e-20 J"
+    assert out.endswith("bound met: yes\nobservable: no\n")
+
+
+def test_closed_energy_still_checks_the_input_width(files, capsys):
+    path = files("wide.net", WIDE_NET)
+    code, out, err = run_cli(capsys, "energy", path, "--input", "0" * 16, "--closed")
+    assert (code, out) == (1, "")
+    assert err == "energy: circuit takes 17 free input bits, got 16\n"
+
+
+def test_sim_on_forty_lines_matches_hand_computed_word(files, capsys):
+    # lines 38 and 39 sit above bit 32, out of reach of a fixed-width word
+    path = files("forty.net", "lines 40\nancilla 39 1\nTOF 0 39 20\nFRED 20 1 38\nCNOT 38 5\nNOT 0\n")
+    code, out, err = run_cli(capsys, "sim", path, "--input", "11" + "0" * 37)
+    assert (code, err) == (0, "")
+    # load: lines 0, 1 and the ancilla 39 set; TOF sets 20; FRED swaps 1 into
+    # 38; CNOT copies 38 onto 5; NOT clears 0
+    expected = ["0"] * 40
+    for line in (5, 20, 38, 39):
+        expected[line] = "1"
+    assert out == "".join(expected) + "\n"
+
+
 def test_invert_round_trip_under_sim(files, capsys, tmp_path):
     rng = random.Random(7)
     mnemonics = {1: "NOT", 2: "CNOT", 3: "TOF"}
