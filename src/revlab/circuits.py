@@ -236,7 +236,7 @@ def drop_garbage(t: TruthTable, positions: frozenset[int] | set[int]) -> tuple[T
         return out
 
     rows = tuple(project(y) for y in t.rows)
-    lost = len({project(y) for y in set(t.rows)}) < len(set(t.rows))
+    lost = len(set(rows)) < len(set(t.rows))
     return TruthTable(t.in_width, kept_width, rows), lost
 
 

@@ -286,14 +286,10 @@ def sci6(x: float) -> str:
     return f"{mantissa}e{int(exponent)}"
 
 
-def format_ledger(
-    ledger: DissipationLedger,
-    params: EnergyParams,
-    bits: BoundInput | None = None,
-) -> str:
+def format_ledger(ledger: DissipationLedger, params: EnergyParams) -> str:
     """Line-oriented rendering of `ledger_dict`: one line per entry, then
     totals and the bound verdict."""
-    report = ledger_dict(ledger, params, bits)
+    report = ledger_dict(ledger, params)
     bound = report["bound"]
     lines = [
         f"{entry['stage']:<12} bits={entry['bits']:<4d} {sci6(entry['joules'])} J"
@@ -309,16 +305,10 @@ def format_ledger(
     return "\n".join(lines) + "\n"
 
 
-def ledger_dict(
-    ledger: DissipationLedger,
-    params: EnergyParams,
-    bits: BoundInput | None = None,
-) -> dict:
+def ledger_dict(ledger: DissipationLedger, params: EnergyParams) -> dict:
     """The ledger report as a plain structure: its entries, total, and the
-    bound with its verdict. The bound defaults to the one the ledger itself
-    justifies."""
-    if bits is None:
-        bits = matching_bound(ledger)
+    bound the ledger itself justifies, with its verdict."""
+    bits = matching_bound(ledger)
     return {
         "entries": [
             {"stage": entry.stage.value, "bits": entry.bits, "joules": entry.joules}

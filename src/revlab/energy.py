@@ -17,20 +17,6 @@ from dataclasses import dataclass, fields
 from .errors import MissingParameter, ParseError, ZeroFrequency
 from .tables import meaningful_lines
 
-# aluminum interconnect on a 1.2 um process, 5 V rail, 1 GHz clock
-_DEFAULTS = {
-    "k_B": 1.38e-23,
-    "T": 293.15,
-    "ln2": math.log(2.0),
-    "rho": 1.678e-8,
-    "wire_length": 2.4e-5,
-    "wire_cross_section": 1.2e-5,
-    "C": 30e-15 / 1e-6,
-    "V": 5.0,
-    "f": 1e9,
-    "feature_lambda": 12.0,
-}
-
 
 @dataclass(frozen=True)
 class EnergyParams:
@@ -43,16 +29,17 @@ class EnergyParams:
     feature_lambda the layout scale factor.
     """
 
-    k_B: float = _DEFAULTS["k_B"]
-    T: float = _DEFAULTS["T"]
-    ln2: float = _DEFAULTS["ln2"]
-    rho: float = _DEFAULTS["rho"]
-    wire_length: float = _DEFAULTS["wire_length"]
-    wire_cross_section: float = _DEFAULTS["wire_cross_section"]
-    C: float = _DEFAULTS["C"]
-    V: float = _DEFAULTS["V"]
-    f: float = _DEFAULTS["f"]
-    feature_lambda: float = _DEFAULTS["feature_lambda"]
+    # aluminum interconnect on a 1.2 um process, 5 V rail, 1 GHz clock
+    k_B: float = 1.38e-23
+    T: float = 293.15
+    ln2: float = math.log(2.0)
+    rho: float = 1.678e-8
+    wire_length: float = 2.4e-5
+    wire_cross_section: float = 1.2e-5
+    C: float = 30e-15 / 1e-6
+    V: float = 5.0
+    f: float = 1e9
+    feature_lambda: float = 12.0
 
     def __post_init__(self) -> None:
         for fld in fields(self):

@@ -145,24 +145,25 @@ def measure(state: np.ndarray, qubit: int) -> list[MeasurementOutcome]:
     """Measure one qubit in the computational basis.
 
     Returns the outcomes with probability above a small floor, value 0 first.
+    A state whose squared norm is zero or not finite cannot be measured.
     """
     vec, n = _check_state(state)
     if not 0 <= qubit < n:
         raise LineOutOfRange(f"qubit {qubit} out of range for {n} qubit(s)")
-    total = float(np.sum(np.abs(vec) ** 2))
+    squares = np.abs(vec) ** 2
+    total = float(np.sum(squares))
+    if not math.isfinite(total):
+        raise ValueError(f"cannot measure a state of squared norm {total}")
     if total <= 1e-24:
         raise ZeroNorm("cannot measure a zero state vector")
-    arr = vec.reshape((2,) * n)
+    bit = (np.arange(vec.size) >> (n - 1 - qubit)) & 1
     outcomes = []
     for value in (0, 1):
-        index: list[slice | int] = [slice(None)] * n
-        index[qubit] = value
-        kept = np.zeros_like(arr)
-        kept[tuple(index)] = arr[tuple(index)]
-        weight = float(np.sum(np.abs(kept) ** 2))
+        keep = bit == value
+        weight = float(np.sum(np.where(keep, squares, 0)))
         probability = weight / total
         if probability > PROB_FLOOR:
-            post = (kept / math.sqrt(weight)).reshape(-1)
+            post = np.where(keep, vec, 0) / math.sqrt(weight)
             outcomes.append(MeasurementOutcome(value, probability, post))
     return outcomes
 
@@ -205,8 +206,10 @@ def parse_program(text: str) -> tuple[Op, ...]:
                 raise ParseError(f"{name} takes an angle then {want} qubit(s): {line!r}")
             try:
                 theta = float(args[0])
-            except ValueError as exc:
-                raise ParseError(f"bad angle {args[0]!r} in {line!r}") from exc
+            except ValueError:
+                theta = math.nan  # reported below, with the other non-finite angles
+            if not math.isfinite(theta):
+                raise ParseError(f"bad angle {args[0]!r} in {line!r}")
             args = args[1:]
         elif len(args) != want:
             raise ParseError(f"{name} takes {want} qubit(s): {line!r}")
@@ -222,6 +225,8 @@ def program_qubits(ops: Sequence[Op], n_qubits: int | None = None) -> int:
     needed = max((q + 1 for op in ops for q in op.qubits), default=0)
     if n_qubits is None:
         n_qubits = max(needed, 1) if ops else 0
+    elif n_qubits < 0:
+        raise ValueError(f"qubit count must be non-negative, got {n_qubits}")
     elif n_qubits < needed:
         raise LineOutOfRange(f"program touches qubit {needed - 1}, only {n_qubits} declared")
     if n_qubits > MAX_QUBITS:
@@ -229,27 +234,21 @@ def program_qubits(ops: Sequence[Op], n_qubits: int | None = None) -> int:
     return n_qubits
 
 
-def run_program(ops: Sequence[Op], n_qubits: int | None = None) -> list[Branch]:
-    """Run from the all-zero state, splitting into a branch per outcome path.
-
-    Branches are ordered by outcome history, value 0 explored first; paths
-    whose probability falls below the floor are dropped.
-    """
+def _walk(ops: Sequence[Op], n_qubits: int | None, keep) -> list[Branch]:
+    """Run from the all-zero state, applying each gate to every branch. At a
+    MEASURE each branch continues once for every outcome that
+    `keep(path probability, outcomes)` returns, in the order returned."""
     n = program_qubits(ops, n_qubits)
     start = np.zeros(1 << n, dtype=complex)
     start[0] = 1.0
     branches = [Branch(1.0, (), start)]
     for op in ops:
         if op.name == "MEASURE":
-            split = []
-            for b in branches:
-                for outcome in measure(b.state, op.qubits[0]):
-                    p = b.probability * outcome.probability
-                    if p > PROB_FLOOR:
-                        split.append(
-                            Branch(p, b.outcomes + (outcome.basis_value,), outcome.post_state)
-                        )
-            branches = split
+            branches = [
+                Branch(b.probability * o.probability, b.outcomes + (o.basis_value,), o.post_state)
+                for b in branches
+                for o in keep(b.probability, measure(b.state, op.qubits[0]))
+            ]
         else:
             m = gate_matrix(op.name, op.theta)
             branches = [
@@ -259,34 +258,34 @@ def run_program(ops: Sequence[Op], n_qubits: int | None = None) -> list[Branch]:
     return branches
 
 
+def run_program(ops: Sequence[Op], n_qubits: int | None = None) -> list[Branch]:
+    """Run from the all-zero state, splitting into a branch per outcome path.
+
+    Branches are ordered by outcome history, value 0 explored first; paths
+    whose probability falls below the floor are dropped.
+    """
+    return _walk(
+        ops, n_qubits, lambda p, results: [o for o in results if p * o.probability > PROB_FLOOR]
+    )
+
+
 def sample_program(
     ops: Sequence[Op], seed: int, n_qubits: int | None = None
 ) -> Branch:
     """Run a single stochastic path, drawing each measurement from a seeded
     generator. Returns that path as a branch with its realized probability."""
     rng = random.Random(seed)
-    n = program_qubits(ops, n_qubits)
-    state = np.zeros(1 << n, dtype=complex)
-    state[0] = 1.0
-    probability = 1.0
-    outcomes: list[int] = []
-    for op in ops:
-        if op.name == "MEASURE":
-            results = measure(state, op.qubits[0])
-            draw = rng.random()
-            acc = 0.0
-            picked = results[-1]
-            for outcome in results:
-                acc += outcome.probability
-                if draw < acc:
-                    picked = outcome
-                    break
-            probability *= picked.probability
-            outcomes.append(picked.basis_value)
-            state = picked.post_state
-        else:
-            state = apply(gate_matrix(op.name, op.theta), state, op.qubits)
-    return Branch(probability, tuple(outcomes), state)
+
+    def pick(_p: float, results: list[MeasurementOutcome]) -> list[MeasurementOutcome]:
+        draw = rng.random()
+        acc = 0.0
+        for outcome in results:
+            acc += outcome.probability
+            if draw < acc:
+                return [outcome]
+        return results[-1:]
+
+    return _walk(ops, n_qubits, pick)[0]
 
 
 def _parse_qubit(token: str, line: str) -> int:

@@ -317,6 +317,22 @@ def test_quantum_parse_error_exits_two(files, capsys):
     assert "quantum" in err
 
 
+@pytest.mark.parametrize("angle", ["nan", "inf", "-inf", "1e999"])
+@pytest.mark.parametrize("sample", [[], ["--sample", "1"]], ids=["all", "sample"])
+def test_quantum_non_finite_angle_is_a_parse_error(files, capsys, angle, sample):
+    path = files("prog.q", f"RX {angle} 0\nMEASURE 0\n")
+    code, out, err = run_cli(capsys, "quantum", path, *sample)
+    assert (code, out) == (2, "")
+    assert err == f"quantum: bad angle '{angle}' in 'RX {angle} 0'\n"
+
+
+def test_quantum_negative_qubit_count_is_a_usage_error(files, capsys):
+    path = files("empty.q", "")
+    code, out, err = run_cli(capsys, "quantum", path, "--qubits", "-1")
+    assert (code, out) == (2, "")
+    assert err == "quantum: qubit count must be non-negative, got -1\n"
+
+
 def test_classify_levels(capsys):
     code, out, _ = run_cli(capsys, "classify", "--logical-reversible")
     assert code == 0

@@ -1,8 +1,10 @@
 """Generated-input properties of the circuit engine: the whole-table kernel
 agrees with single-word simulation, undoes itself, and the embeddings and
-lifts built on whole-table arithmetic match their per-word definitions."""
+lifts built on whole-table arithmetic match their per-word definitions.
+Of the quantum layer: a sampled path is one of the enumerated branches."""
 
 import json
+import math
 
 import numpy as np
 from hypothesis import given
@@ -13,15 +15,19 @@ from revlab import (
     Circuit,
     Gate,
     GateKind,
+    Op,
     TruthTable,
     dual_rail_codeword,
     dual_rail_embed,
     invert_circuit,
     permutation_matrix,
+    run_program,
+    sample_program,
     simulate,
     to_truth_table,
 )
 from revlab.circuits import _apply_kind, _load_word
+from revlab.quantum import PROB_FLOOR
 
 
 def gates(width):
@@ -130,3 +136,30 @@ def test_permutation_matrix_matches_per_row_loop(f):
     for x, y in enumerate(f.rows):
         expected[y, x] = 1.0
     assert np.array_equal(permutation_matrix(f), expected)
+
+
+@st.composite
+def programs(draw, max_qubits=4):
+    n = draw(st.integers(1, max_qubits))
+    qubit = st.integers(0, n - 1).map(lambda q: (q,))
+    angle = st.floats(-2 * math.pi, 2 * math.pi)
+    pair = st.permutations(range(n)).map(lambda p: tuple(p[:2])) if n > 1 else st.nothing()
+    step = st.one_of(
+        st.builds(lambda t, q: Op("RX", q, t), angle, qubit),
+        st.builds(lambda q: Op("H", q), qubit),
+        st.builds(lambda t, q: Op("IZZ", q, t), angle, pair),
+        st.builds(lambda q: Op("T", q), qubit),
+        st.builds(lambda q: Op("MEASURE", q), qubit),
+    )
+    return n, draw(st.lists(step, max_size=16))
+
+
+@given(programs(), st.integers(0, 2**32 - 1))
+def test_a_sampled_path_is_one_of_the_enumerated_branches(program, seed):
+    n, ops = program
+    path = sample_program(ops, seed, n)
+    if path.probability <= PROB_FLOOR:
+        return
+    (branch,) = [b for b in run_program(ops, n) if b.outcomes == path.outcomes]
+    assert branch.probability == path.probability
+    assert np.array_equal(branch.state, path.state)

@@ -163,6 +163,13 @@ def test_measure_validation():
         measure(np.array([1, 0], dtype=complex), 1)
 
 
+def test_measure_rejects_a_non_finite_state():
+    with pytest.raises(ValueError):
+        measure(np.array([np.nan, 0]), 0)
+    with pytest.raises(ValueError), np.errstate(over="ignore"):
+        measure(np.array([1e200, 0]), 0)  # the squared norm overflows
+
+
 def test_measure_probabilities_sum_to_one():
     rng = random.Random(13)
     for _ in range(40):
@@ -255,6 +262,19 @@ def test_parse_program_and_format():
 def test_parse_program_rejects(text):
     with pytest.raises(ParseError):
         parse_program(text)
+
+
+@pytest.mark.parametrize("angle", ["nan", "inf", "-inf", "1e999"])
+def test_parse_program_rejects_non_finite_angles(angle):
+    with pytest.raises(ParseError, match="bad angle"):
+        parse_program(f"RX {angle} 0\n")
+    with pytest.raises(ParseError, match="bad angle"):
+        parse_program(f"IZZ {angle} 0 1\n")
+
+
+def test_program_qubit_count_must_be_non_negative():
+    with pytest.raises(ValueError, match="non-negative, got -1"):
+        program_qubits((), -1)
 
 
 def test_program_qubit_counting():
