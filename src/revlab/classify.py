@@ -164,7 +164,8 @@ def run_ledger(
 
     * INPUT_SET: every line (free or ancilla) is one transcribed bit. Inside
       a closed system this is a reconfiguration, scaled by
-      reconfiguration_units.
+      reconfiguration_units; the bound then charges the scaled bit count,
+      rounded down and at most the line count.
     * CONTROL: with external control each gate consumes the instruction word
       afresh; a cyclic tag is paid for once up front. Skipped when the
       instruction word is empty or the circuit has no gates.
@@ -187,9 +188,10 @@ def run_ledger(
 
     if circuit.width > 0:
         scale = profile.reconfiguration_units if closed else 1.0
-        entries.append(
-            LedgerEntry(Stage.INPUT_SET, circuit.width, circuit.width * scale * unit)
-        )
+        # floored and capped like COMPUTE below, so a reconfiguration cheaper
+        # than one unit a bit never charges more bits than it spends
+        bits = int(min(circuit.width, circuit.width * scale))
+        entries.append(LedgerEntry(Stage.INPUT_SET, bits, circuit.width * scale * unit))
 
     i_r = profile.instruction_bits
     if i_r > 0 and circuit.gates:

@@ -30,7 +30,7 @@ from .classify import (
 from .energy import EnergyParams, parse_params
 from .errors import ParseError, RevlabError
 from .quantum import Branch, parse_program, program_qubits, run_program, sample_program
-from .tables import BitWord, TruthTable, format_table, invert, is_conservative, is_reversible, meaningful_lines, parse_table
+from .tables import BitWord, TruthTable, bit_string, format_table, invert, is_conservative, is_reversible, meaningful_lines, parse_table
 
 _EPILOG = "Bit strings are most-significant line first: line 0 is the leftmost character."
 
@@ -150,7 +150,7 @@ def _branch_payload(branch: Branch, n_qubits: int) -> dict:
         if abs(amp) > 1e-9:
             amplitudes.append(
                 {
-                    "basis": format(idx, f"0{n_qubits}b") if n_qubits else "",
+                    "basis": bit_string(idx, n_qubits),
                     "re": float(amp.real),
                     "im": float(amp.imag),
                 }

@@ -52,6 +52,8 @@ def gate_matrix(name: str, theta: float | None = None) -> np.ndarray:
     if name in _PARAMETRIC:
         if theta is None:
             raise MissingParameter(f"{name} needs an angle")
+        if not math.isfinite(theta):
+            raise ValueError(f"{name} angle must be finite, got {theta!r}")
     elif theta is not None:
         raise ValueError(f"{name} takes no angle")
     if name == "RX":
@@ -150,8 +152,9 @@ def measure(state: np.ndarray, qubit: int) -> list[MeasurementOutcome]:
     vec, n = _check_state(state)
     if not 0 <= qubit < n:
         raise LineOutOfRange(f"qubit {qubit} out of range for {n} qubit(s)")
-    squares = np.abs(vec) ** 2
-    total = float(np.sum(squares))
+    with np.errstate(over="ignore"):  # an overflow is reported just below
+        squares = np.abs(vec) ** 2
+        total = float(np.sum(squares))
     if not math.isfinite(total):
         raise ValueError(f"cannot measure a state of squared norm {total}")
     if total <= 1e-24:

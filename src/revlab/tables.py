@@ -51,16 +51,26 @@ class BitWord:
         return (self.value >> (self.width - 1 - line)) & 1
 
     def __str__(self) -> str:
-        if self.width == 0:
-            return ""
-        return format(self.value, f"0{self.width}b")
+        return bit_string(self.value, self.width)
 
     @classmethod
     def from_string(cls, bits: str) -> BitWord:
-        bits = bits.strip()
-        if any(ch not in "01" for ch in bits):
-            raise ParseError(f"bad bit string {bits!r}")
-        return cls(len(bits), int(bits, 2) if bits else 0)
+        bits = bit_digits(bits)
+        return cls(len(bits), int(bits or "0", 2))
+
+
+def bit_digits(token: str) -> str:
+    """The stripped token, checked to hold only '0' and '1'; its length is
+    the word width."""
+    bits = token.strip()
+    if bits.strip("01"):
+        raise ParseError(f"bad bit string {bits!r}")
+    return bits
+
+
+def bit_string(value: int, width: int) -> str:
+    """The width-bit binary rendering of value, the inverse of bit_digits."""
+    return format(value, f"0{width}b") if width else ""
 
 
 @dataclass(frozen=True)
@@ -169,13 +179,13 @@ def parse_table(text: str) -> TruthTable:
         parts = line.split("->")
         if len(parts) != 2:
             raise ParseError(f"expected 'bits -> bits', got {line!r}")
-        src = BitWord.from_string(parts[0])
-        dst = BitWord.from_string(parts[1])
-        if src.width != in_width or dst.width != out_width:
+        src, dst = bit_digits(parts[0]), bit_digits(parts[1])
+        if len(src) != in_width or len(dst) != out_width:
             raise ParseError(f"row {line!r} does not match table widths")
-        if src.value in rows:
+        x = int(src or "0", 2)
+        if x in rows:
             raise ParseError(f"input {src} listed twice")
-        rows[src.value] = dst.value
+        rows[x] = int(dst or "0", 2)
     missing = (1 << in_width) - len(rows)
     if missing:
         raise ParseError(f"{missing} input word(s) unlisted")
@@ -186,7 +196,7 @@ def format_table(t: TruthTable) -> str:
     """Render a table in the text format accepted by parse_table."""
     out = [f"table {t.in_width} {t.out_width}"]
     for x, y in enumerate(t.rows):
-        out.append(f"{BitWord(t.in_width, x)} -> {BitWord(t.out_width, y)}")
+        out.append(f"{bit_string(x, t.in_width)} -> {bit_string(y, t.out_width)}")
     return "\n".join(out) + "\n"
 
 

@@ -1,26 +1,40 @@
 """Generated-input properties of the circuit engine: the whole-table kernel
 agrees with single-word simulation, undoes itself, and the embeddings and
 lifts built on whole-table arithmetic match their per-word definitions.
-Of the quantum layer: a sampled path is one of the enumerated branches."""
+Of the quantum layer: a sampled path is one of the enumerated branches.
+Of the ledger: every run meets its own bound. Of the table text format:
+format then parse is the identity, and parse agrees with a per-row
+BitWord reference on valid and mutated rows."""
 
 import json
 import math
 
 import numpy as np
-from hypothesis import given
+import pytest
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from revlab import (
     BitWord,
     Circuit,
+    ControlStyle,
+    EnergyParams,
+    Environment,
     Gate,
     GateKind,
     Op,
+    ParseError,
+    SystemProfile,
     TruthTable,
+    check_bound,
     dual_rail_codeword,
     dual_rail_embed,
+    format_table,
     invert_circuit,
+    matching_bound,
+    parse_table,
     permutation_matrix,
+    run_ledger,
     run_program,
     sample_program,
     simulate,
@@ -28,6 +42,7 @@ from revlab import (
 )
 from revlab.circuits import _apply_kind, _load_word
 from revlab.quantum import PROB_FLOOR
+from revlab.tables import meaningful_lines
 
 
 def gates(width):
@@ -163,3 +178,115 @@ def test_a_sampled_path_is_one_of_the_enumerated_branches(program, seed):
     (branch,) = [b for b in run_program(ops, n) if b.outcomes == path.outcomes]
     assert branch.probability == path.probability
     assert np.array_equal(branch.state, path.state)
+
+
+@st.composite
+def profiles(draw):
+    return SystemProfile(
+        environment=draw(st.sampled_from(Environment)),
+        control_style=draw(st.sampled_from(ControlStyle)),
+        ideal_transmission=draw(st.booleans()),
+        instruction_bits=draw(st.integers(0, 8)),
+        recovered_fraction=draw(st.floats(0, 1)),
+        reconfiguration_units=draw(
+            st.one_of(st.floats(0, 1, exclude_max=True), st.floats(1, 10))
+        ),
+    )
+
+
+@given(circuits(max_width=8), profiles(), st.data())
+def test_a_ledger_meets_its_own_bound(circuit, profile, data):
+    n = len(circuit.free_lines)
+    word = BitWord(n, data.draw(st.integers(0, (1 << n) - 1)))
+    params = EnergyParams()
+    ledger = run_ledger(circuit, word, profile, params)
+    assert check_bound(ledger, matching_bound(ledger), params)
+
+
+@st.composite
+def tables(draw, max_width=6):
+    in_width = draw(st.integers(0, max_width))
+    out_width = draw(st.integers(0, max_width))
+    size = 1 << in_width
+    rows = draw(st.lists(st.integers(0, (1 << out_width) - 1), min_size=size, max_size=size))
+    return TruthTable(in_width, out_width, tuple(rows))
+
+
+@given(tables())
+@example(TruthTable(0, 0, (0,)))
+@example(TruthTable(1, 3, (5, 2)))
+def test_format_then_parse_is_the_identity(table):
+    text = format_table(table)
+    if table.in_width == table.out_width == 0:
+        assert text == "table 0 0\n -> \n"
+    assert parse_table(text) == table
+
+
+def reference_parse_table(text):
+    """The rows of a table parsed one BitWord pair per row, as
+    BitWord.from_string and parse_table once did it. The header is taken on
+    trust: the texts below only ever mutate row lines."""
+    def word(bits):
+        bits = bits.strip()
+        if any(ch not in "01" for ch in bits):
+            raise ParseError(f"bad bit string {bits!r}")
+        return BitWord(len(bits), int(bits, 2) if bits else 0)
+
+    lines = meaningful_lines(text)
+    _, in_width, out_width = next(lines).split()
+    in_width, out_width = int(in_width), int(out_width)
+    rows = {}
+    for line in lines:
+        parts = line.split("->")
+        if len(parts) != 2:
+            raise ParseError(f"expected 'bits -> bits', got {line!r}")
+        src = word(parts[0])
+        dst = word(parts[1])
+        if src.width != in_width or dst.width != out_width:
+            raise ParseError(f"row {line!r} does not match table widths")
+        if src.value in rows:
+            raise ParseError(f"input {src} listed twice")
+        rows[src.value] = dst.value
+    missing = (1 << in_width) - len(rows)
+    if missing:
+        raise ParseError(f"{missing} input word(s) unlisted")
+    return TruthTable(in_width, out_width, tuple(rows[x] for x in range(1 << in_width)))
+
+
+@st.composite
+def table_texts(draw):
+    """A formatted table with up to four row-line mutations: stray or
+    whitespace characters, a lost character, a second arrow, a repeated row
+    or a dropped row."""
+    header, *lines = format_table(draw(tables(max_width=4))).splitlines()
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(lines) - 1))
+        line = lines[i]
+        at = draw(st.integers(0, len(line)))
+        kind = draw(st.sampled_from(["insert", "cut", "arrow", "repeat", "drop"]))
+        if kind == "insert":
+            lines[i] = line[:at] + draw(st.text("01 \t\u00a0x2_->#", min_size=1, max_size=2)) + line[at:]
+        elif kind == "cut":
+            lines[i] = line[:at] + line[at + 1 :]
+        elif kind == "arrow":
+            lines[i] = line[:at] + "->" + line[at:]
+        elif kind == "repeat":
+            lines.insert(at % (len(lines) + 1), line)
+        elif len(lines) > 1:
+            del lines[i]
+    return "\n".join([header, *lines]) + "\n"
+
+
+@given(table_texts())
+@example("table 2 1\n0x -> 1\n")
+@example("table 2 1\n01 -> 1x\n")
+@example("table 2 1\n00 -> 1\n00 -> 0\n")
+def test_parse_table_agrees_with_a_per_row_bitword_parser(text):
+    try:
+        expected = reference_parse_table(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as raised:
+            parse_table(text)
+        assert str(raised.value) == str(exc)
+    else:
+        assert parse_table(text) == expected

@@ -64,6 +64,15 @@ def test_gate_matrix_parameter_rules():
         gate_matrix("Q")
 
 
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+def test_gate_matrix_rejects_non_finite_angles(angle):
+    for name, qubits in (("RX", (0,)), ("IZZ", (0, 1))):
+        with pytest.raises(ValueError, match=f"{name} angle must be finite"):
+            gate_matrix(name, angle)
+        with pytest.raises(ValueError, match=f"{name} angle must be finite"):
+            run_program((Op(name, qubits, angle),), 2)
+
+
 def test_all_gates_unitary_across_angles():
     rng = random.Random(11)
     angles = [0.0, math.pi / 7, math.pi / 3, math.pi / 2, math.pi, 2.5, 2 * math.pi]
@@ -166,7 +175,7 @@ def test_measure_validation():
 def test_measure_rejects_a_non_finite_state():
     with pytest.raises(ValueError):
         measure(np.array([np.nan, 0]), 0)
-    with pytest.raises(ValueError), np.errstate(over="ignore"):
+    with pytest.raises(ValueError):
         measure(np.array([1e200, 0]), 0)  # the squared norm overflows
 
 
