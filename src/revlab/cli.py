@@ -145,20 +145,13 @@ def _cmd_energy(args: argparse.Namespace) -> tuple[int, str | dict]:
 
 
 def _branch_payload(branch: Branch, n_qubits: int) -> dict:
-    amplitudes = []
-    for idx, amp in enumerate(branch.state):
-        if abs(amp) > 1e-9:
-            amplitudes.append(
-                {
-                    "basis": bit_string(idx, n_qubits),
-                    "re": float(amp.real),
-                    "im": float(amp.imag),
-                }
-            )
+    state = branch.state
+    shown = (abs(state) > 1e-9).nonzero()[0]
+    parts = zip(shown.tolist(), state.real[shown].tolist(), state.imag[shown].tolist())
     return {
         "probability": branch.probability,
         "outcomes": list(branch.outcomes),
-        "amplitudes": amplitudes,
+        "amplitudes": [{"basis": bit_string(i, n_qubits), "re": re, "im": im} for i, re, im in parts],
     }
 
 
@@ -304,10 +297,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         code, report = args.handler(args)
-    except (RevlabError, OSError, ValueError) as exc:
+    except (RevlabError, OSError, ValueError, OverflowError) as exc:
         print(f"{args.verb}: {exc}", file=sys.stderr)
-        # exit 1 for a domain error; 2 for a parse error, an unreadable file
-        # or a bad value, which are usage errors
+        # exit 1 for a domain error; 2 for a parse error, an unreadable file,
+        # a bad value or one that overflows, which are usage errors
         domain = isinstance(exc, RevlabError) and not isinstance(exc, ParseError)
         return 1 if domain else 2
     if isinstance(report, str):

@@ -4,6 +4,7 @@ import json
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +26,9 @@ LOSSY_TABLE = """table 2 2
 """
 
 CNOT_NET = "lines 2\nCNOT 0 1\n"
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_CASES = json.loads((GOLDEN / "cases.json").read_text())
 
 
 @pytest.fixture
@@ -331,6 +335,63 @@ def test_quantum_negative_qubit_count_is_a_usage_error(files, capsys):
     code, out, err = run_cli(capsys, "quantum", path, "--qubits", "-1")
     assert (code, out) == (2, "")
     assert err == "quantum: qubit count must be non-negative, got -1\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mix.net", "--input", "10", "--instruction-bits", "150000000000000000000000", "--temp", "1e308", "--ideal-wires"],
+        ["cnot.net", "--input", "10", "--instruction-bits", "1" + "0" * 400],
+    ],
+    ids=["ledger-total", "instruction-bits"],
+)
+def test_energy_overflow_is_a_bad_value(argv, capsys, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    code, out, err = run_cli(capsys, "energy", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("energy: ") and err.endswith("\n") and err.count("\n") == 1
+
+
+FUZZ_VALUES = ["0", "-1", "17", str(10**400), "1e308", "1e309", "nan", "inf", "", "abc", "0" * 17, "1" * 40]
+
+
+def one_format_per_case():
+    """Golden case names, one of each -json/-text pair, the formats alternating."""
+    stems = sorted({name.rsplit("-", 1)[0] for name in GOLDEN_CASES})
+    return [f"{stem}-{('text', 'json')[i % 2]}" for i, stem in enumerate(stems)]
+
+
+@pytest.mark.parametrize("name", one_format_per_case())
+def test_fuzzed_golden_argv_exits_with_the_contract(name, capsys, monkeypatch):
+    """Each value of a golden argv (never a flag name or the verb), replaced by
+    each fuzz value, exits 0, 1 or 2 with no traceback, and a non-zero exit
+    prints one stderr line. Exempt from the one-line rule: argparse's own
+    usage errors, and check's verdict exit 1, which prints nothing there."""
+    monkeypatch.chdir(GOLDEN)
+    argv = GOLDEN_CASES[name]["argv"]
+    failures = []
+    for i in range(1, len(argv)):
+        if argv[i].startswith("--"):
+            continue
+        for value in FUZZ_VALUES:
+            fuzzed = [*argv[:i], value, *argv[i + 1 :]]
+            try:
+                code = main(fuzzed)
+            except SystemExit as exc:  # argparse's usage error: exit 2, usage text
+                capsys.readouterr()
+                if exc.code != 2:
+                    failures.append((fuzzed, exc))
+                continue
+            except Exception as exc:  # noqa: BLE001 - collect every escape, then fail
+                capsys.readouterr()
+                failures.append((fuzzed, exc))
+                continue
+            err = capsys.readouterr().err
+            verdict = argv[0] == "check" and code == 1 and err == ""
+            one_line = err.endswith("\n") and err.count("\n") == 1
+            if code not in (0, 1, 2) or (code and not verdict and not one_line):
+                failures.append((fuzzed, code, err))
+    assert failures == []
 
 
 def test_classify_levels(capsys):

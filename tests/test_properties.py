@@ -2,12 +2,14 @@
 agrees with single-word simulation, undoes itself, and the embeddings and
 lifts built on whole-table arithmetic match their per-word definitions.
 Of the quantum layer: a sampled path is one of the enumerated branches.
-Of the ledger: every run meets its own bound. Of the table text format:
-format then parse is the identity, and parse agrees with a per-row
-BitWord reference on valid and mutated rows."""
+Of the ledger: every run meets its own bound. Of the table, netlist and
+parameter text formats: format then parse is the identity, and table parse
+agrees with a per-row BitWord reference on valid and mutated rows. Of the
+table predicates: conservative is reversible with every weight kept."""
 
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -29,9 +31,15 @@ from revlab import (
     check_bound,
     dual_rail_codeword,
     dual_rail_embed,
+    format_circuit,
+    format_params,
     format_table,
     invert_circuit,
+    is_conservative,
+    is_reversible,
     matching_bound,
+    parse_circuit,
+    parse_params,
     parse_table,
     permutation_matrix,
     run_ledger,
@@ -119,6 +127,11 @@ def test_each_gate_undoes_itself_on_every_word(case):
 
 
 @given(circuits())
+def test_format_then_parse_is_the_identity_for_netlists(circuit):
+    assert parse_circuit(format_circuit(circuit)) == circuit
+
+
+@given(circuits())
 def test_circuit_then_inverse_is_identity(circuit):
     bare = Circuit(circuit.width, circuit.gates)
     round_trip = Circuit(circuit.width, bare.gates + invert_circuit(bare).gates)
@@ -194,6 +207,22 @@ def profiles(draw):
     )
 
 
+def finite(min_value=0.0, exclude_min=False):
+    return st.floats(min_value, exclude_min=exclude_min, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def energy_params(draw):
+    values = {fld.name: draw(finite()) for fld in fields(EnergyParams)}
+    values["wire_cross_section"] = draw(finite(exclude_min=True))
+    return EnergyParams(**values)
+
+
+@given(energy_params())
+def test_format_then_parse_is_the_identity_for_params(params):
+    assert parse_params(format_params(params)) == params
+
+
 @given(circuits(max_width=8), profiles(), st.data())
 def test_a_ledger_meets_its_own_bound(circuit, profile, data):
     n = len(circuit.free_lines)
@@ -220,6 +249,28 @@ def test_format_then_parse_is_the_identity(table):
     if table.in_width == table.out_width == 0:
         assert text == "table 0 0\n -> \n"
     assert parse_table(text) == table
+
+
+@st.composite
+def weight_preserving_tables(draw, max_width=6):
+    """Tables that map each word into its own Hamming-weight class: a
+    permutation of each class, or any map into it."""
+    n = draw(st.integers(0, max_width))
+    bijective = draw(st.booleans())
+    rows = [0] * (1 << n)
+    for weight in range(n + 1):
+        members = [x for x in range(1 << n) if x.bit_count() == weight]
+        k = len(members)
+        images = st.permutations(members) if bijective else st.lists(st.sampled_from(members), min_size=k, max_size=k)
+        for x, y in zip(members, draw(images)):
+            rows[x] = y
+    return TruthTable(n, n, tuple(rows))
+
+
+@given(st.one_of(tables(), bijections(max_width=6), weight_preserving_tables()))
+def test_conservative_is_reversible_with_every_weight_kept(table):
+    kept = all(x.bit_count() == y.bit_count() for x, y in enumerate(table.rows))
+    assert is_conservative(table) == (is_reversible(table) and kept)
 
 
 def reference_parse_table(text):
