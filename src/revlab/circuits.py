@@ -154,10 +154,9 @@ class Circuit:
 
     def check_inputs(self, inputs: BitWord) -> None:
         """Raise WidthMismatch unless `inputs` fills exactly the free lines."""
-        if inputs.width != len(self.free_lines):
-            raise WidthMismatch(
-                f"circuit takes {len(self.free_lines)} free input bits, got {inputs.width}"
-            )
+        free = self.width - len(self.ancillas)
+        if inputs.width != free:
+            raise WidthMismatch(f"circuit takes {free} free input bits, got {inputs.width}")
 
     @property
     def output_lines(self) -> tuple[int, ...]:

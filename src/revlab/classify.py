@@ -116,9 +116,9 @@ class LedgerEntry:
 
     def __post_init__(self) -> None:
         if not isinstance(self.bits, int) or self.bits < 0:
-            raise ValueError(f"bits must be a non-negative int, got {self.bits!r}")
+            raise ValueError(f"{self.stage.value} bits must be a non-negative int, got {self.bits!r}")
         if not math.isfinite(self.joules) or self.joules < 0:
-            raise ValueError(f"joules must be finite and non-negative, got {self.joules!r}")
+            raise ValueError(f"{self.stage.value} joules must be finite and non-negative, got {self.joules!r}")
 
 
 @dataclass(frozen=True)

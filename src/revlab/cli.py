@@ -124,7 +124,7 @@ def _profile_from(args: argparse.Namespace, **knobs) -> SystemProfile:
 
 
 def _params_from(args: argparse.Namespace) -> EnergyParams:
-    params = parse_params(Path(args.tech).read_text()) if args.tech else EnergyParams()
+    params = parse_params(Path(args.tech).read_text()) if args.tech is not None else EnergyParams()
     overrides = {"T": args.temp, "f": args.freq}
     return dataclasses.replace(params, **{k: v for k, v in overrides.items() if v is not None})
 

@@ -126,11 +126,9 @@ def apply(matrix: np.ndarray, state: np.ndarray, targets: Sequence[int]) -> np.n
         raise DimensionMismatch(f"duplicate target in {targets}")
     if any(not 0 <= t < n for t in targets):
         raise DimensionMismatch(f"targets {targets} out of range for {n} qubit(s)")
-    arr = vec.reshape((2,) * n)
-    arr = np.moveaxis(arr, targets, range(k))
-    arr = (m @ arr.reshape(1 << k, -1)).reshape((2,) * n)
-    arr = np.moveaxis(arr, range(k), targets)
-    return arr.reshape(-1)
+    order = [*targets, *(q for q in range(n) if q not in targets)]
+    out = m @ vec.reshape((2,) * n).transpose(order).reshape(1 << k, -1)
+    return out.reshape((2,) * n).transpose(np.argsort(order)).reshape(-1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -99,6 +99,8 @@ def test_gates_self_inverse_exhaustive():
 
 
 def test_circuit_validation():
+    with pytest.raises(ValueError, match="width must be non-negative"):
+        Circuit(-1)
     with pytest.raises(LineOutOfRange):
         Circuit(2, (NOT(2),))
     with pytest.raises(LineOutOfRange):
@@ -286,6 +288,9 @@ def test_parse_circuit_text():
         "lines 2\nancilla 0 2\n",  # bad constant
         "lines 2\nancilla 0 1\nancilla 0 0\n",  # duplicate ancilla
         "lines two\n",
+        "lines -1\n",
+        "lines 2\nancilla 1\n",  # constant missing
+        "lines 2\ngarbage\n",  # line missing
     ],
 )
 def test_parse_circuit_rejects(text):

@@ -287,6 +287,8 @@ def test_sci6_formatting():
     assert sci6(1.0) == "1.000000e0"
     assert sci6(-1.5e-4) == "-1.500000e-4"
     assert sci6(float("inf")) == "inf"
+    assert sci6(float("-inf")) == "-inf"
+    assert sci6(float("nan")) == "nan"
 
 
 def test_report_and_dict_agree():

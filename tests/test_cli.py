@@ -2,6 +2,7 @@
 
 import json
 import random
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -352,7 +353,50 @@ def test_energy_overflow_is_a_bad_value(argv, capsys, monkeypatch):
     assert err.startswith("energy: ") and err.endswith("\n") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, stage",
+    [
+        (["cnot.net", "--input", "10", "--closed", "--reconfig-units", "1e308"], "INPUT_SET"),
+        (["cnot.net", "--input", "10", "--freq", "1e300"], "INTERCONNECT"),
+    ],
+    ids=["reconfig-units", "freq"],
+)
+def test_an_overflowing_ledger_entry_names_its_stage(argv, stage, capsys, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    code, out, err = run_cli(capsys, "energy", *argv)
+    assert (code, out) == (2, "")
+    assert err == f"energy: {stage} joules must be finite and non-negative, got inf\n"
+
+
+def test_an_empty_tech_path_is_an_unreadable_file(capsys, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    code, out, err = run_cli(capsys, "energy", "cnot.net", "--input", "10", "--tech", "")
+    assert (code, out) == (2, "")
+    assert err == "energy: [Errno 21] Is a directory: '.'\n"
+
+
 FUZZ_VALUES = ["0", "-1", "17", str(10**400), "1e308", "1e309", "nan", "inf", "", "abc", "0" * 17, "1" * 40]
+
+
+def contract_breach(argv, capsys):
+    """Run argv through main and return what breaks the exit contract, or
+    None: exit 0, 1 or 2 with no traceback, and a non-zero exit prints one
+    stderr line. Exempt from the one-line rule: argparse's own usage errors,
+    and check's verdict exit 1, which prints nothing there."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's usage error: exit 2, usage text
+        capsys.readouterr()
+        return None if exc.code == 2 else (argv, exc)
+    except Exception as exc:  # noqa: BLE001 - report every escape
+        capsys.readouterr()
+        return (argv, exc)
+    err = capsys.readouterr().err
+    verdict = argv[0] == "check" and code == 1 and err == ""
+    one_line = err.endswith("\n") and err.count("\n") == 1
+    if code not in (0, 1, 2) or (code and not verdict and not one_line):
+        return (argv, code, err)
+    return None
 
 
 def one_format_per_case():
@@ -364,34 +408,58 @@ def one_format_per_case():
 @pytest.mark.parametrize("name", one_format_per_case())
 def test_fuzzed_golden_argv_exits_with_the_contract(name, capsys, monkeypatch):
     """Each value of a golden argv (never a flag name or the verb), replaced by
-    each fuzz value, exits 0, 1 or 2 with no traceback, and a non-zero exit
-    prints one stderr line. Exempt from the one-line rule: argparse's own
-    usage errors, and check's verdict exit 1, which prints nothing there."""
+    each fuzz value, keeps the exit contract of contract_breach."""
     monkeypatch.chdir(GOLDEN)
     argv = GOLDEN_CASES[name]["argv"]
+    failures = [
+        contract_breach([*argv[:i], value, *argv[i + 1 :]], capsys)
+        for i in range(1, len(argv))
+        if not argv[i].startswith("--")
+        for value in FUZZ_VALUES
+    ]
+    assert [f for f in failures if f] == []
+
+
+# Inserted at a few offsets of each golden input file: digits, signs, a NUL,
+# non-ASCII, comment and blank characters, a huge integer, an overflowing
+# float, an arrow and a carriage return.
+FILE_INSERTS = ["2", "-", "\0", "\u00e9", "#", " ", "\t", "9" * 30, "1e999", "->", "\r"]
+
+
+def mutations(text):
+    """Each line dropped, each line doubled, and at three offsets (start,
+    middle, before the last character) one character cut or one of
+    FILE_INSERTS put in; each distinct text once."""
+    lines = text.splitlines(keepends=True)
+    out = []
+    for i in range(len(lines)):
+        out.append("".join(lines[:i] + lines[i + 1 :]))
+        out.append("".join(lines[: i + 1] + lines[i:]))
+    for at in sorted({0, len(text) // 2, len(text) - 1}):
+        out.append(text[:at] + text[at + 1 :])
+        out.extend(text[:at] + insert + text[at:] for insert in FILE_INSERTS)
+    return list(dict.fromkeys(out))
+
+
+@pytest.mark.parametrize(
+    "filename", sorted(p.name for p in GOLDEN.iterdir() if p.suffix in {".tbl", ".net", ".q", ".tech"})
+)
+def test_mutated_golden_files_exit_with_the_contract(filename, tmp_path, capsys, monkeypatch):
+    """Each golden text-format argv that names the file, run on each mutation
+    of it beside copies of the other golden files, keeps the exit contract."""
+    for path in GOLDEN.iterdir():
+        (tmp_path / path.name).write_bytes(path.read_bytes())
+    monkeypatch.chdir(tmp_path)
+    argvs = [
+        case["argv"]
+        for name, case in sorted(GOLDEN_CASES.items())
+        if name.endswith("-text") and filename in case["argv"]
+    ]
     failures = []
-    for i in range(1, len(argv)):
-        if argv[i].startswith("--"):
-            continue
-        for value in FUZZ_VALUES:
-            fuzzed = [*argv[:i], value, *argv[i + 1 :]]
-            try:
-                code = main(fuzzed)
-            except SystemExit as exc:  # argparse's usage error: exit 2, usage text
-                capsys.readouterr()
-                if exc.code != 2:
-                    failures.append((fuzzed, exc))
-                continue
-            except Exception as exc:  # noqa: BLE001 - collect every escape, then fail
-                capsys.readouterr()
-                failures.append((fuzzed, exc))
-                continue
-            err = capsys.readouterr().err
-            verdict = argv[0] == "check" and code == 1 and err == ""
-            one_line = err.endswith("\n") and err.count("\n") == 1
-            if code not in (0, 1, 2) or (code and not verdict and not one_line):
-                failures.append((fuzzed, code, err))
-    assert failures == []
+    for text in mutations((GOLDEN / filename).read_text()):
+        (tmp_path / filename).write_text(text, encoding="utf-8")
+        failures += [(text, contract_breach(argv, capsys)) for argv in argvs]
+    assert [f for f in failures if f[1]] == []
 
 
 def test_classify_levels(capsys):
@@ -433,3 +501,23 @@ def test_module_entry_point(files):
     )
     assert proc.returncode == 0
     assert proc.stdout == "reversible: yes, conservative: no\n"
+
+
+def _cap_memory_at_one_gib():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("verb", [["sim"], ["energy"], ["energy", "--closed"]], ids=" ".join)
+def test_a_huge_lines_header_is_a_width_mismatch(verb, files):
+    """The free-input count is arithmetic, not a tuple over every line; the
+    memory cap turns a runaway allocation into a quick failure."""
+    path = files("huge.net", "lines 99999999999999999999\nCNOT 0 1\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "revlab", verb[0], path, "--input", "10", *verb[1:]],
+        capture_output=True,
+        text=True,
+        preexec_fn=_cap_memory_at_one_gib,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"{verb[0]}: circuit takes 99999999999999999999 free input bits, got 2\n"

@@ -1,7 +1,8 @@
 """Generated-input properties of the circuit engine: the whole-table kernel
 agrees with single-word simulation, undoes itself, and the embeddings and
 lifts built on whole-table arithmetic match their per-word definitions.
-Of the quantum layer: a sampled path is one of the enumerated branches.
+Of the quantum layer: a sampled path is one of the enumerated branches, and
+apply gives the bytes of a moveaxis reference.
 Of the ledger: every run meets its own bound. Of the table, netlist and
 parameter text formats: format then parse is the identity, and table parse
 agrees with a per-row BitWord reference on valid and mutated rows. Of the
@@ -28,6 +29,7 @@ from revlab import (
     ParseError,
     SystemProfile,
     TruthTable,
+    apply,
     check_bound,
     dual_rail_codeword,
     dual_rail_embed,
@@ -191,6 +193,35 @@ def test_a_sampled_path_is_one_of_the_enumerated_branches(program, seed):
     (branch,) = [b for b in run_program(ops, n) if b.outcomes == path.outcomes]
     assert branch.probability == path.probability
     assert np.array_equal(branch.state, path.state)
+
+
+def reference_apply(matrix, state, targets):
+    """apply as it was before it permuted by one axis order: move the target
+    axes to the front, multiply, move them back."""
+    n = state.size.bit_length() - 1
+    k = len(targets)
+    arr = np.moveaxis(state.reshape((2,) * n), targets, range(k))
+    arr = (matrix @ arr.reshape(1 << k, -1)).reshape((2,) * n)
+    return np.moveaxis(arr, range(k), targets).reshape(-1)
+
+
+@st.composite
+def operator_cases(draw):
+    """A random complex state of 1-7 qubits, a random complex k-qubit matrix
+    with k in 1-3, and k distinct targets in any order."""
+    n = draw(st.integers(1, 7))
+    k = draw(st.integers(1, min(3, n)))
+    targets = tuple(draw(st.permutations(range(n)))[:k])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    state = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    matrix = rng.normal(size=(1 << k, 1 << k)) + 1j * rng.normal(size=(1 << k, 1 << k))
+    return matrix, state, targets
+
+
+@given(operator_cases())
+def test_apply_gives_the_bytes_of_the_moveaxis_form(case):
+    matrix, state, targets = case
+    assert apply(matrix, state, targets).tobytes() == reference_apply(matrix, state, targets).tobytes()
 
 
 @st.composite

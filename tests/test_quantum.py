@@ -239,6 +239,8 @@ def test_permutation_matrix_matches_circuit_simulation():
 def test_permutation_matrix_rejects_lossy_table():
     with pytest.raises(NotReversible):
         permutation_matrix(TruthTable(1, 1, (1, 1)))
+    with pytest.raises(TooWide, match="11 qubits exceeds cap 10"):
+        permutation_matrix(TruthTable(11, 11, tuple(range(1 << 11))))
 
 
 def test_parse_program_and_format():
@@ -266,6 +268,7 @@ def test_parse_program_and_format():
         "IZZ 1.0 0 0\n",  # repeated qubit
         "MEASURE\n",
         "H -1\n",
+        "MEASURE x\n",
     ],
 )
 def test_parse_program_rejects(text):

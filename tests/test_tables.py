@@ -56,6 +56,9 @@ def test_bitword_validation():
         BitWord(-1, 0)
     with pytest.raises(ParseError):
         BitWord.from_string("01x1")
+    for line in (-1, 2):
+        with pytest.raises(IndexError, match="out of range for width 2"):
+            BitWord(2, 1).bit(line)
 
 
 def test_width_cap_binds_tables_not_words():
@@ -65,6 +68,8 @@ def test_width_cap_binds_tables_not_words():
     assert str(BitWord(20, 5)) == "0" * 17 + "101"
     with pytest.raises(ValueError):
         TruthTable(17, 17, ())
+    with pytest.raises(ValueError, match="out_width must be in 0..16"):
+        TruthTable(1, 17, (0, 1))
     with pytest.raises(ParseError):
         parse_table("table 17 17\n")
 
@@ -192,6 +197,7 @@ def test_parse_table_text():
         "table 1\n0 -> 0\n1 -> 1\n",  # malformed header
         "table 1 1\n0 = 0\n1 = 1\n",  # malformed row
         "nonsense 1 1\n",
+        "table a b\n",  # widths not integers
     ],
 )
 def test_parse_table_rejects(text):
