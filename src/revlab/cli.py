@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -231,6 +232,9 @@ def _add_profile_flags(sub: argparse.ArgumentParser) -> None:
     )
 
 
+# parse_args leaves the parser as it was and gives each call a fresh
+# Namespace, so one parser serves every main call in a process
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="revlab", description=__doc__, epilog=_EPILOG)
     common = argparse.ArgumentParser(add_help=False)
@@ -293,8 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         code, report = args.handler(args)
     except (RevlabError, OSError, ValueError, OverflowError) as exc:

@@ -1,5 +1,6 @@
 """Command-line round trips, exit codes, and output stability."""
 
+import argparse
 import json
 import random
 import resource
@@ -8,9 +9,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from revlab import BitWord, parse_circuit, parse_table, sci6, simulate
-from revlab.cli import main
+from revlab.cli import _build_parser, main
 
 CONTROLLED_FLIP_TABLE = """table 2 2
 00 -> 00
@@ -460,6 +463,77 @@ def test_mutated_golden_files_exit_with_the_contract(filename, tmp_path, capsys,
         (tmp_path / filename).write_text(text, encoding="utf-8")
         failures += [(text, contract_breach(argv, capsys)) for argv in argvs]
     assert [f for f in failures if f[1]] == []
+
+
+
+def usage_error(parse, capsys):
+    """The exit code and stderr of a `check` with no file, through parse."""
+    with pytest.raises(SystemExit) as exc:
+        parse(["check"])
+    return exc.value.code, capsys.readouterr().err
+
+
+def test_one_parser_serves_every_call_in_a_process(capsys, monkeypatch):
+    """Every golden case, run in one process in reverse order and then in a
+    seeded shuffle, with a usage error before every fifth case, prints the
+    bytes it recorded; the usage error prints what a fresh parser prints."""
+    monkeypatch.chdir(GOLDEN)
+    assert _build_parser() is _build_parser()
+    fresh = usage_error(_build_parser.__wrapped__().parse_args, capsys)
+    assert fresh[0] == 2 and fresh[1].startswith("usage: revlab check")
+    names = sorted(GOLDEN_CASES)
+    mismatches = []
+    for i, name in enumerate([*reversed(names), *random.Random(9).sample(names, len(names))]):
+        if i % 5 == 0 and usage_error(main, capsys) != fresh:
+            mismatches.append((i, "usage error"))
+        case = GOLDEN_CASES[name]
+        code = main(case["argv"])
+        captured = capsys.readouterr()
+        if (code, captured.out, captured.err) != (case["exit"], case["stdout"], case["stderr"]):
+            mismatches.append((i, name))
+    assert mismatches == []
+
+
+VERBS = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+# option strings with whether each takes a value, per verb; the help flags
+# exit 0 by design, so they are left out
+VERB_OPTIONS = {
+    verb: {o: a.nargs != 0 for a in sub._actions for o in a.option_strings if o not in ("-h", "--help")}
+    for verb, sub in VERBS.items()
+}
+ARGV_VALUES = [
+    *sorted({c for sub in VERBS.values() for a in sub._actions for c in a.choices or ()}),
+    *sorted(p.name for p in GOLDEN.iterdir() if p.name != "cases.json"),
+    *FUZZ_VALUES,
+]
+ARGV_TOKENS = [*VERBS, *sorted({o for options in VERB_OPTIONS.values() for o in options}), *ARGV_VALUES]
+
+
+def verb_led_argv(verb):
+    """The verb, a value where its file goes, then its own options, each with
+    a value if it takes one, cut to 8 tokens. An argv drawn freely from
+    ARGV_TOKENS is almost always an argparse usage error, so it seldom
+    reaches the verb's code."""
+    value = st.sampled_from(ARGV_VALUES)
+    option = st.sampled_from(sorted(VERB_OPTIONS[verb].items())).flatmap(
+        lambda item: value.map(lambda v: [item[0], v]) if item[1] else st.just([item[0]])
+    )
+    return st.tuples(value, st.lists(option, max_size=3)).map(
+        lambda drawn: [verb, drawn[0], *(token for o in drawn[1] for token in o)][:8]
+    )
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    argv=st.lists(st.sampled_from(ARGV_TOKENS), min_size=1, max_size=8)
+    | st.sampled_from(sorted(VERBS)).flatmap(verb_led_argv)
+)
+def test_random_argv_exits_with_the_contract(argv, capsys, monkeypatch):
+    """Argv of 1-8 tokens drawn from the verbs, the parser's option strings,
+    the golden input file names and the fuzz values, run from the golden
+    directory, keep the exit contract of contract_breach."""
+    monkeypatch.chdir(GOLDEN)
+    assert contract_breach(argv, capsys) is None
 
 
 def test_classify_levels(capsys):
