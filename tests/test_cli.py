@@ -465,7 +465,6 @@ def test_mutated_golden_files_exit_with_the_contract(filename, tmp_path, capsys,
     assert [f for f in failures if f[1]] == []
 
 
-
 def usage_error(parse, capsys):
     """The exit code and stderr of a `check` with no file, through parse."""
     with pytest.raises(SystemExit) as exc:
@@ -510,8 +509,8 @@ ARGV_TOKENS = [*VERBS, *sorted({o for options in VERB_OPTIONS.values() for o in 
 
 
 def verb_led_argv(verb):
-    """The verb, a value where its file goes, then its own options, each with
-    a value if it takes one, cut to 8 tokens. An argv drawn freely from
+    """The verb, a value where its file goes, then up to three of its own
+    options, each with a value if it takes one. An argv drawn freely from
     ARGV_TOKENS is almost always an argparse usage error, so it seldom
     reaches the verb's code."""
     value = st.sampled_from(ARGV_VALUES)
@@ -519,7 +518,7 @@ def verb_led_argv(verb):
         lambda item: value.map(lambda v: [item[0], v]) if item[1] else st.just([item[0]])
     )
     return st.tuples(value, st.lists(option, max_size=3)).map(
-        lambda drawn: [verb, drawn[0], *(token for o in drawn[1] for token in o)][:8]
+        lambda drawn: [verb, drawn[0], *(token for o in drawn[1] for token in o)]
     )
 
 
@@ -529,9 +528,10 @@ def verb_led_argv(verb):
     | st.sampled_from(sorted(VERBS)).flatmap(verb_led_argv)
 )
 def test_random_argv_exits_with_the_contract(argv, capsys, monkeypatch):
-    """Argv of 1-8 tokens drawn from the verbs, the parser's option strings,
-    the golden input file names and the fuzz values, run from the golden
-    directory, keep the exit contract of contract_breach."""
+    """Argv of 1-8 tokens drawn from the verbs, the parser's option strings
+    and --format choices, the golden input file names and the fuzz values,
+    run from the golden directory, keep the exit contract of
+    contract_breach."""
     monkeypatch.chdir(GOLDEN)
     assert contract_breach(argv, capsys) is None
 
