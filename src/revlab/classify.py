@@ -11,8 +11,9 @@ charging one per-bit unit for every set, read, consumed or overwritten bit.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum, IntEnum
 
 from .circuits import Circuit, step_states, to_truth_table
@@ -182,39 +183,26 @@ def run_ledger(
     """
     circuit.check_inputs(inputs)
     unit = landauer_per_bit(params)
-    recovery = profile.recovered_fraction
     closed = profile.environment is Environment.CLOSED
     entries: list[LedgerEntry] = []
 
     if circuit.width > 0:
         scale = profile.reconfiguration_units if closed else 1.0
-        # floored and capped like COMPUTE below, so a reconfiguration cheaper
-        # than one unit a bit never charges more bits than it spends
-        bits = int(min(circuit.width, circuit.width * scale))
-        entries.append(LedgerEntry(Stage.INPUT_SET, bits, circuit.width * scale * unit))
+        entries.append(_priced(Stage.INPUT_SET, circuit.width, unit, scale))
 
-    i_r = profile.instruction_bits
-    if i_r > 0 and circuit.gates:
-        if profile.control_style is ControlStyle.EXTERNAL_IRREVERSIBLE:
-            entries.extend(
-                LedgerEntry(Stage.CONTROL, i_r, i_r * unit) for _ in circuit.gates
-            )
-        else:
-            entries.append(LedgerEntry(Stage.CONTROL, i_r, i_r * unit))
+    if profile.instruction_bits > 0 and circuit.gates:
+        control = _priced(Stage.CONTROL, profile.instruction_bits, unit)
+        external = profile.control_style is ControlStyle.EXTERNAL_IRREVERSIBLE
+        entries.extend([control] * (len(circuit.gates) if external else 1))
 
     # a closed run never prices COMPUTE, so it needs neither the states nor
     # the conservativity verdict, and so no enumeration
     if not closed and not is_conservative(to_truth_table(Circuit(circuit.width, circuit.gates))):
-        states = list(step_states(circuit, inputs))
-        for before, after in zip(states, states[1:]):
-            flipped = (before.value ^ after.value).bit_count()
-            joules = flipped * (1.0 - recovery) * unit
-            if joules > 0:
-                # floor keeps the charged bit count at or below the energy
-                # actually spent, so the run bound stays self-consistent
-                entries.append(
-                    LedgerEntry(Stage.COMPUTE, int(flipped * (1.0 - recovery)), joules)
-                )
+        kept = 1.0 - profile.recovered_fraction
+        for before, after in itertools.pairwise(step_states(circuit, inputs)):
+            entry = _priced(Stage.COMPUTE, (before.value ^ after.value).bit_count(), unit, kept)
+            if entry.joules > 0:
+                entries.append(entry)
 
     if not profile.ideal_transmission and circuit.gates:
         per_cycle = wire_dissipation_per_cycle(params)
@@ -222,35 +210,42 @@ def run_ledger(
             LedgerEntry(Stage.INTERCONNECT, 0, len(circuit.gates) * per_cycle)
         )
 
-    if closed:
-        return DissipationLedger(tuple(entries), observable=False)
-    out_bits = len(circuit.output_lines)
+    out_bits = 0 if closed else len(circuit.output_lines)
     if out_bits > 0:
-        entries.append(LedgerEntry(Stage.OUTPUT_READ, out_bits, out_bits * unit))
-    return DissipationLedger(tuple(entries), observable=True)
+        entries.append(_priced(Stage.OUTPUT_READ, out_bits, unit))
+    return DissipationLedger(tuple(entries), observable=not closed)
+
+
+def _priced(stage: Stage, count: int, unit: float, scale: float = 1.0) -> LedgerEntry:
+    """`count` bits at `scale` per-bit units each. The bound may charge only
+    the whole bits paid for: below one unit a bit the count is floored, and
+    at one or more it stays the int `count`, which no float rounds."""
+    return LedgerEntry(stage, count if scale >= 1 else int(count * scale), count * scale * unit)
 
 
 def measurement_entry(bits: int, params: EnergyParams) -> LedgerEntry:
     """Transcription cost of reading `bits` measured values into classical
     storage, one per-bit unit each."""
-    return LedgerEntry(Stage.MEASUREMENT, bits, bits * landauer_per_bit(params))
+    return _priced(Stage.MEASUREMENT, bits, landauer_per_bit(params))
+
+
+# the stage whose entries justify each bound field, in BoundInput's order,
+# which is also the order check_bound reports a mismatch in
+_BOUND_STAGES = (
+    ("k", Stage.INPUT_SET),
+    ("l", Stage.OUTPUT_READ),
+    ("i_r", Stage.CONTROL),
+    ("n_pr", Stage.COMPUTE),
+)
 
 
 def matching_bound(ledger: DissipationLedger) -> BoundInput:
     """The bit counts a ledger's own entries justify charging for: input bits
     set, output bits read, the control word width (consumed once per gate but
     counted once), and intermediate bits overwritten."""
-    i_r = 0
-    for entry in ledger.entries:
-        if entry.stage is Stage.CONTROL:
-            i_r = entry.bits
-            break
-    return BoundInput(
-        k=ledger.stage_bits(Stage.INPUT_SET),
-        l=ledger.stage_bits(Stage.OUTPUT_READ),
-        i_r=i_r,
-        n_pr=ledger.stage_bits(Stage.COMPUTE),
-    )
+    bits = {name: ledger.stage_bits(stage) for name, stage in _BOUND_STAGES}
+    bits["i_r"] = next((e.bits for e in ledger.entries if e.stage is Stage.CONTROL), 0)
+    return BoundInput(**bits)
 
 
 def check_bound(ledger: DissipationLedger, bits: BoundInput, params: EnergyParams) -> bool:
@@ -263,13 +258,8 @@ def check_bound(ledger: DissipationLedger, bits: BoundInput, params: EnergyParam
     """
     own = matching_bound(ledger)
     present = {entry.stage for entry in ledger.entries}
-    checks = (
-        (Stage.INPUT_SET, own.k, bits.k, "k"),
-        (Stage.OUTPUT_READ, own.l, bits.l, "l"),
-        (Stage.CONTROL, own.i_r, bits.i_r, "i_r"),
-        (Stage.COMPUTE, own.n_pr, bits.n_pr, "n_pr"),
-    )
-    for stage, have, want, name in checks:
+    for name, stage in _BOUND_STAGES:
+        have, want = getattr(own, name), getattr(bits, name)
         if stage in present and have != want:
             raise DimensionMismatch(
                 f"ledger {stage.value} bits total {have}, bound says {name}={want}"
@@ -318,10 +308,7 @@ def ledger_dict(ledger: DissipationLedger, params: EnergyParams) -> dict:
         ],
         "total": ledger.total,
         "bound": {
-            "k": bits.k,
-            "l": bits.l,
-            "i_r": bits.i_r,
-            "n_pr": bits.n_pr,
+            **asdict(bits),
             "joules": lower_bound(bits, params),
             "met": check_bound(ledger, bits, params),
         },

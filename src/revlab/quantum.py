@@ -22,6 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -145,7 +146,8 @@ def measure(state: np.ndarray, qubit: int) -> list[MeasurementOutcome]:
     """Measure one qubit in the computational basis.
 
     Returns the outcomes with probability above a small floor, value 0 first.
-    A state whose squared norm is zero or not finite cannot be measured.
+    A state cannot be measured when its squared norm is not finite, or is
+    too small for a kept outcome's weight to be a normal float (zero is).
     """
     vec, n = _check_state(state)
     if not 0 <= qubit < n:
@@ -155,7 +157,7 @@ def measure(state: np.ndarray, qubit: int) -> list[MeasurementOutcome]:
         total = float(np.sum(squares))
     if not math.isfinite(total):
         raise ValueError(f"cannot measure a state of squared norm {total}")
-    if total <= 1e-24:
+    if total < sys.float_info.min / PROB_FLOOR:
         raise ZeroNorm("cannot measure a zero state vector")
     bit = (np.arange(vec.size) >> (n - 1 - qubit)) & 1
     outcomes = []
@@ -245,6 +247,10 @@ def _walk(ops: Sequence[Op], n_qubits: int | None, keep) -> list[Branch]:
     branches = [Branch(1.0, (), start)]
     for op in ops:
         if op.name == "MEASURE":
+            if op.theta is not None:
+                raise ValueError("MEASURE takes no angle")
+            if len(op.qubits) != 1:
+                raise DimensionMismatch(f"MEASURE takes 1 qubit, got {op.qubits}")
             branches = [
                 Branch(b.probability * o.probability, b.outcomes + (o.basis_value,), o.post_state)
                 for b in branches

@@ -2,14 +2,17 @@
 
 Run `pytest tests/test_acceptance.py -v -s` to see the verdict lines as
 they print. Every frozen number here is recomputed from independent
-arithmetic inside the test body, not read back from the library.
+arithmetic inside the test body, not read back from the library. The
+README's library example also runs as written.
 """
 
 import dataclasses
 import itertools
 import math
 import random
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -421,3 +424,11 @@ def test_total_runtime_under_one_minute():
     total = sum(_DURATIONS.values())
     print(f"all criteria total: {total:.2f} s")
     assert total < 60.0
+
+
+def test_the_readme_library_example_runs():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    (block,) = re.findall(r"^```python\n(.*?)^```$", readme, re.DOTALL | re.MULTILINE)
+    namespace: dict = {}
+    exec(block, namespace)
+    assert str(namespace["out"]) == "11"

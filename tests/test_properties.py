@@ -1,16 +1,19 @@
 """Generated-input properties of the circuit engine: the whole-table kernel
 agrees with single-word simulation, undoes itself, and the embeddings and
 lifts built on whole-table arithmetic match their per-word definitions.
-Of the quantum layer: a sampled path is one of the enumerated branches, and
-apply gives the bytes of a moveaxis reference.
-Of the ledger: every run meets its own bound. Of the table, netlist and
-parameter text formats: format then parse is the identity, and table parse
-agrees with a per-row BitWord reference on valid and mutated rows. Of the
-table predicates: conservative is reversible with every weight kept."""
+Of the quantum layer: a sampled path is one of the enumerated branches,
+apply gives the bytes of a moveaxis reference, and measure does not depend
+on the state's scale.
+Of the ledger: every run meets its own bound, and every entry, bound and
+report equals that of a reference copy of the per-stage pricing. Of the
+table, netlist and parameter text formats: format then parse is the
+identity, and table parse agrees with a per-row BitWord reference on valid
+and mutated rows. Of the table predicates: conservative is reversible with
+every weight kept."""
 
 import json
 import math
-from dataclasses import fields
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -19,14 +22,19 @@ from hypothesis import strategies as st
 
 from revlab import (
     BitWord,
+    BoundInput,
     Circuit,
     ControlStyle,
+    DimensionMismatch,
+    DissipationLedger,
     EnergyParams,
     Environment,
     Gate,
     GateKind,
+    LedgerEntry,
     Op,
     ParseError,
+    Stage,
     SystemProfile,
     TruthTable,
     apply,
@@ -39,7 +47,12 @@ from revlab import (
     invert_circuit,
     is_conservative,
     is_reversible,
+    landauer_per_bit,
+    ledger_dict,
+    lower_bound,
     matching_bound,
+    measure,
+    measurement_entry,
     parse_circuit,
     parse_params,
     parse_table,
@@ -48,7 +61,9 @@ from revlab import (
     run_program,
     sample_program,
     simulate,
+    step_states,
     to_truth_table,
+    wire_dissipation_per_cycle,
 )
 from revlab.circuits import _apply_kind, _load_word
 from revlab.quantum import PROB_FLOOR
@@ -195,6 +210,29 @@ def test_a_sampled_path_is_one_of_the_enumerated_branches(program, seed):
     assert np.array_equal(branch.state, path.state)
 
 
+@st.composite
+def scaled_states(draw):
+    """A random complex state of 1-4 qubits, some amplitudes zeroed but not
+    all, a qubit, and a power of ten to scale it by."""
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    state = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    zeroed = draw(st.lists(st.booleans(), min_size=1 << n, max_size=1 << n))
+    state[np.array(zeroed)] = 0
+    state[draw(st.integers(0, (1 << n) - 1))] = 1 + 1j
+    return state, draw(st.integers(0, n - 1)), draw(st.integers(-140, 140))
+
+
+@given(scaled_states())
+def test_measure_does_not_depend_on_the_scale_of_the_state(case):
+    state, qubit, k = case
+    plain, scaled = measure(state, qubit), measure(state * 10.0**k, qubit)
+    assert [o.basis_value for o in scaled] == [o.basis_value for o in plain]
+    for a, b in zip(scaled, plain):
+        assert a.probability == pytest.approx(b.probability, rel=1e-12, abs=0)
+        assert np.allclose(a.post_state, b.post_state, rtol=1e-12, atol=0)
+
+
 def reference_apply(matrix, state, targets):
     """apply as it was before it permuted by one axis order: move the target
     axes to the front, multiply, move them back."""
@@ -261,6 +299,127 @@ def test_a_ledger_meets_its_own_bound(circuit, profile, data):
     params = EnergyParams()
     ledger = run_ledger(circuit, word, profile, params)
     assert check_bound(ledger, matching_bound(ledger), params)
+
+
+def reference_run_ledger(circuit, inputs, profile, params):
+    """run_ledger as it was before one pricing rule built every entry: each
+    stage prices and floors its own bits."""
+    circuit.check_inputs(inputs)
+    unit = landauer_per_bit(params)
+    recovery = profile.recovered_fraction
+    closed = profile.environment is Environment.CLOSED
+    entries = []
+    if circuit.width > 0:
+        scale = profile.reconfiguration_units if closed else 1.0
+        bits = int(min(circuit.width, circuit.width * scale))
+        entries.append(LedgerEntry(Stage.INPUT_SET, bits, circuit.width * scale * unit))
+    i_r = profile.instruction_bits
+    if i_r > 0 and circuit.gates:
+        if profile.control_style is ControlStyle.EXTERNAL_IRREVERSIBLE:
+            entries.extend(LedgerEntry(Stage.CONTROL, i_r, i_r * unit) for _ in circuit.gates)
+        else:
+            entries.append(LedgerEntry(Stage.CONTROL, i_r, i_r * unit))
+    if not closed and not is_conservative(to_truth_table(Circuit(circuit.width, circuit.gates))):
+        states = list(step_states(circuit, inputs))
+        for before, after in zip(states, states[1:]):
+            flipped = (before.value ^ after.value).bit_count()
+            joules = flipped * (1.0 - recovery) * unit
+            if joules > 0:
+                entries.append(LedgerEntry(Stage.COMPUTE, int(flipped * (1.0 - recovery)), joules))
+    if not profile.ideal_transmission and circuit.gates:
+        per_cycle = wire_dissipation_per_cycle(params)
+        entries.append(LedgerEntry(Stage.INTERCONNECT, 0, len(circuit.gates) * per_cycle))
+    if closed:
+        return DissipationLedger(tuple(entries), observable=False)
+    out_bits = len(circuit.output_lines)
+    if out_bits > 0:
+        entries.append(LedgerEntry(Stage.OUTPUT_READ, out_bits, out_bits * unit))
+    return DissipationLedger(tuple(entries), observable=True)
+
+
+def reference_matching_bound(ledger):
+    i_r = 0
+    for entry in ledger.entries:
+        if entry.stage is Stage.CONTROL:
+            i_r = entry.bits
+            break
+    return BoundInput(
+        k=ledger.stage_bits(Stage.INPUT_SET),
+        l=ledger.stage_bits(Stage.OUTPUT_READ),
+        i_r=i_r,
+        n_pr=ledger.stage_bits(Stage.COMPUTE),
+    )
+
+
+def reference_check_bound(ledger, bits, params):
+    own = reference_matching_bound(ledger)
+    present = {entry.stage for entry in ledger.entries}
+    checks = (
+        (Stage.INPUT_SET, own.k, bits.k, "k"),
+        (Stage.OUTPUT_READ, own.l, bits.l, "l"),
+        (Stage.CONTROL, own.i_r, bits.i_r, "i_r"),
+        (Stage.COMPUTE, own.n_pr, bits.n_pr, "n_pr"),
+    )
+    for stage, have, want, name in checks:
+        if stage in present and have != want:
+            raise DimensionMismatch(f"ledger {stage.value} bits total {have}, bound says {name}={want}")
+    return ledger.total >= lower_bound(bits, params) * (1.0 - 1e-9)
+
+
+def reference_ledger_dict(ledger, params):
+    bits = reference_matching_bound(ledger)
+    return {
+        "entries": [
+            {"stage": entry.stage.value, "bits": entry.bits, "joules": entry.joules}
+            for entry in ledger.entries
+        ],
+        "total": ledger.total,
+        "bound": {
+            "k": bits.k,
+            "l": bits.l,
+            "i_r": bits.i_r,
+            "n_pr": bits.n_pr,
+            "joules": lower_bound(bits, params),
+            "met": reference_check_bound(ledger, bits, params),
+        },
+        "observable": ledger.observable,
+    }
+
+
+def outcome(fn, *args):
+    """What a call gives: its value, or the type and text of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the raised error is the outcome
+        return type(exc), str(exc)
+
+
+@given(
+    circuits(max_width=8),
+    profiles(),
+    st.one_of(st.just(EnergyParams()), energy_params()),
+    st.integers(0, 2**1030),
+    st.data(),
+)
+def test_the_ledger_matches_its_per_stage_reference(circuit, profile, params, measured, data):
+    n = len(circuit.free_lines)
+    word = BitWord(n, data.draw(st.integers(0, (1 << n) - 1)))
+    ledger = outcome(run_ledger, circuit, word, profile, params)
+    assert ledger == outcome(reference_run_ledger, circuit, word, profile, params)
+    assert outcome(measurement_entry, measured, params) == outcome(
+        lambda b, p: LedgerEntry(Stage.MEASUREMENT, b, b * landauer_per_bit(p)), measured, params
+    )
+    if not isinstance(ledger, DissipationLedger):
+        return
+    own = matching_bound(ledger)
+    assert own == reference_matching_bound(ledger)
+    assert repr(outcome(ledger_dict, ledger, params)) == repr(
+        outcome(reference_ledger_dict, ledger, params)
+    )
+    bits = BoundInput(*(data.draw(st.one_of(st.just(v), st.integers(0, 16))) for v in astuple(own)))
+    assert outcome(check_bound, ledger, bits, params) == outcome(
+        reference_check_bound, ledger, bits, params
+    )
 
 
 @st.composite

@@ -172,6 +172,12 @@ def test_measure_validation():
         measure(np.array([1, 0], dtype=complex), 1)
 
 
+def test_measure_takes_a_tiny_nonzero_state():
+    (outcome,) = measure(np.array([1e-13, 0]), 0)
+    assert (outcome.basis_value, outcome.probability) == (0, 1.0)
+    assert np.array_equal(outcome.post_state, [1, 0])
+
+
 def test_measure_rejects_a_non_finite_state():
     with pytest.raises(ValueError):
         measure(np.array([np.nan, 0]), 0)
@@ -298,6 +304,22 @@ def test_program_qubit_counting():
     with pytest.raises(TooWide):
         program_qubits((), 11)
     assert program_qubits(()) == 0
+
+
+@pytest.mark.parametrize(
+    "op, error",
+    [
+        (Op("MEASURE", (0, 1)), DimensionMismatch),
+        (Op("MEASURE", ()), DimensionMismatch),
+        (Op("MEASURE", (0,), 2.5), ValueError),
+        # what a gate op with the same faults raises
+        (Op("H", (0, 1)), DimensionMismatch),
+        (Op("H", (0,), 2.5), ValueError),
+    ],
+)
+def test_run_program_rejects_a_malformed_op(op, error):
+    with pytest.raises(error):
+        run_program((Op("H", (0,)), Op("H", (1,)), op), 2)
 
 
 def test_run_program_splits_on_measurement():
