@@ -60,12 +60,12 @@ class Gate:
         object.__setattr__(self, "lines", tuple(self.lines))
         if len(self.lines) != self.kind.arity:
             raise ValueError(
-                f"{self.kind.value} takes {self.kind.arity} lines, got {len(self.lines)}"
+                f"{self.kind.value} takes {self.kind.arity} line(s), got {len(self.lines)}"
             )
         if len(set(self.lines)) != len(self.lines):
             raise ValueError(f"{self.kind.value} lines must be distinct: {self.lines}")
         if any(line < 0 for line in self.lines):
-            raise ValueError(f"negative line index in {self.lines}")
+            raise ValueError(f"{self.kind.value} lines must be non-negative: {self.lines}")
 
 
 def NOT(t: int) -> Gate:
@@ -301,15 +301,10 @@ def parse_circuit(text: str) -> Circuit:
                 raise ParseError(f"expected 'garbage <line>', got {line!r}")
             garbage.add(_parse_int(args[0], line))
         elif word in _MNEMONICS:
-            kind = _MNEMONICS[word]
-            if len(args) != kind.arity:
-                raise ParseError(
-                    f"{word} takes {kind.arity} line(s), got {len(args)} in {line!r}"
-                )
             try:
-                gates.append(Gate(kind, tuple(_parse_int(a, line) for a in args)))
+                gates.append(Gate(_MNEMONICS[word], tuple(_parse_int(a, line) for a in args)))
             except ValueError as exc:
-                raise ParseError(str(exc)) from exc
+                raise ParseError(f"{exc} in {line!r}") from exc
         else:
             raise ParseError(f"unknown directive {word!r}")
     if width is None:

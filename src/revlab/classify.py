@@ -85,6 +85,9 @@ class SystemProfile:
     reconfiguration_units: float = 1.0
 
     def __post_init__(self) -> None:
+        # run_ledger tests these with `is`: take the member or its value string
+        object.__setattr__(self, "environment", Environment(self.environment))
+        object.__setattr__(self, "control_style", ControlStyle(self.control_style))
         if not isinstance(self.instruction_bits, int) or self.instruction_bits < 0:
             raise ValueError(f"instruction_bits must be a non-negative int, got {self.instruction_bits!r}")
         if not 0.0 <= self.recovered_fraction <= 1.0:

@@ -110,20 +110,6 @@ def _cmd_dualrail(args: argparse.Namespace) -> tuple[int, str | dict]:
     return 0, format_table(embedded)
 
 
-def _profile_from(args: argparse.Namespace, **knobs) -> SystemProfile:
-    """A profile with the environment and control style set by --closed and
-    --cyclic-tag, plus the verb's own capability flags or ledger knobs."""
-    return SystemProfile(
-        environment=Environment.CLOSED if args.closed else Environment.TRANSFER,
-        control_style=(
-            ControlStyle.CYCLIC_TAG_REVERSIBLE
-            if args.cyclic_tag
-            else ControlStyle.EXTERNAL_IRREVERSIBLE
-        ),
-        **knobs,
-    )
-
-
 def _params_from(args: argparse.Namespace) -> EnergyParams:
     params = parse_params(Path(args.tech).read_text()) if args.tech is not None else EnergyParams()
     overrides = {"T": args.temp, "f": args.freq}
@@ -133,8 +119,13 @@ def _params_from(args: argparse.Namespace) -> EnergyParams:
 def _cmd_energy(args: argparse.Namespace) -> tuple[int, str | dict]:
     circuit = _load_circuit(args.file)
     params = _params_from(args)
-    profile = _profile_from(
-        args,
+    profile = SystemProfile(
+        environment=Environment.CLOSED if args.closed else Environment.TRANSFER,
+        control_style=(
+            ControlStyle.CYCLIC_TAG_REVERSIBLE
+            if args.cyclic_tag
+            else ControlStyle.EXTERNAL_IRREVERSIBLE
+        ),
         ideal_transmission=args.ideal_wires,
         instruction_bits=args.instruction_bits,
         recovered_fraction=args.recovered_fraction,
@@ -192,8 +183,7 @@ def _cmd_quantum(args: argparse.Namespace) -> tuple[int, str | dict]:
 
 def _cmd_classify(args: argparse.Namespace) -> tuple[int, str | dict]:
     level = classify(
-        _profile_from(
-            args,
+        SystemProfile(
             logical_reversible_components=args.logical_reversible,
             software_tracked_only=args.software_tracked,
             energy_conservative_components=args.energy_conservative,
@@ -289,8 +279,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--logical-reversible", action="store_true", help="components step bijectively")
     sub.add_argument("--energy-conservative", action="store_true", help="component energy recovered")
     sub.add_argument("--ideal-transmission", action="store_true", help="lossless links between parts")
-    sub.add_argument("--closed", action="store_true", help="sealed environment")
-    sub.add_argument("--cyclic-tag", action="store_true", help="reversible circulating-tag control")
+    sub.add_argument("--closed", action="store_true", help="sealed environment; does not change the level")
+    sub.add_argument("--cyclic-tag", action="store_true", help="circulating-tag control; does not change the level")
     sub.set_defaults(handler=_cmd_classify)
 
     return parser

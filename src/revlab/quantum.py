@@ -45,7 +45,7 @@ UNITARY_TOL = 1e-10
 PROB_FLOOR = 1e-12
 
 _PARAMETRIC = {"RX", "IZZ"}
-_GATE_QUBITS = {"RX": 1, "H": 1, "IZZ": 2, "T": 1}
+_OP_QUBITS = {"RX": 1, "H": 1, "IZZ": 2, "T": 1, "MEASURE": 1}
 
 
 def gate_matrix(name: str, theta: float | None = None) -> np.ndarray:
@@ -195,14 +195,9 @@ def parse_program(text: str) -> tuple[Op, ...]:
     ops: list[Op] = []
     for line in meaningful_lines(text):
         name, *args = line.split()
-        if name == "MEASURE":
-            if len(args) != 1:
-                raise ParseError(f"expected 'MEASURE <qubit>', got {line!r}")
-            ops.append(Op(name, (_parse_qubit(args[0], line),)))
-            continue
-        if name not in _GATE_QUBITS:
+        if name not in _OP_QUBITS:
             raise ParseError(f"unknown gate {name!r}")
-        want = _GATE_QUBITS[name]
+        want = _OP_QUBITS[name]
         theta: float | None = None
         if name in _PARAMETRIC:
             if len(args) != want + 1:
@@ -282,17 +277,12 @@ def sample_program(
     """Run a single stochastic path, drawing each measurement from a seeded
     generator. Returns that path as a branch with its realized probability."""
     rng = random.Random(seed)
-
-    def pick(_p: float, results: list[MeasurementOutcome]) -> list[MeasurementOutcome]:
-        draw = rng.random()
-        acc = 0.0
-        for outcome in results:
-            acc += outcome.probability
-            if draw < acc:
-                return [outcome]
-        return results[-1:]
-
-    return _walk(ops, n_qubits, pick)[0]
+    # measure gives one or two outcomes, value 0 first: one draw picks between them
+    return _walk(
+        ops,
+        n_qubits,
+        lambda _p, results: results[:1] if rng.random() < results[0].probability else results[-1:],
+    )[0]
 
 
 def _parse_qubit(token: str, line: str) -> int:

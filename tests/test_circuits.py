@@ -291,8 +291,31 @@ def test_parse_circuit_text():
         "lines -1\n",
         "lines 2\nancilla 1\n",  # constant missing
         "lines 2\ngarbage\n",  # line missing
+        "lines 2\nNOT -1\n",  # negative line
     ],
 )
 def test_parse_circuit_rejects(text):
     with pytest.raises(ParseError):
         parse_circuit(text)
+
+
+@pytest.mark.parametrize(
+    "gate_line, message",
+    [
+        ("CNOT 0", "CNOT takes 2 line(s), got 1 in 'CNOT 0'"),
+        ("NOT 0 1", "NOT takes 1 line(s), got 2 in 'NOT 0 1'"),
+        ("TOF 0 1", "TOF takes 3 line(s), got 2 in 'TOF 0 1'"),
+        ("FRED 0 1 1 0", "FRED takes 3 line(s), got 4 in 'FRED 0 1 1 0'"),
+        ("CNOT 1 1", None),
+        ("FRED 0 1 0", None),
+        ("NOT -1", None),
+        ("TOF 0 -1 1", None),
+        ("CNOT x", "bad integer 'x' in 'CNOT x'"),  # the bad integer before the arity
+    ],
+)
+def test_a_gate_line_error_names_its_line(gate_line, message):
+    with pytest.raises(ParseError) as info:
+        parse_circuit(f"lines 3\n{gate_line}\n")
+    assert str(info.value).endswith(f" in {gate_line!r}")
+    if message is not None:
+        assert str(info.value) == message

@@ -179,6 +179,25 @@ def test_run_ledger_control_styles():
     assert all(e.stage is not Stage.CONTROL for e in none.entries)
 
 
+def test_a_profile_takes_each_enum_or_its_value_string():
+    circuit = Circuit(2, (CNOT(0, 1),) * 3)
+    word = BitWord.from_string("10")
+    by_value = run_ledger(
+        circuit, word, SystemProfile(control_style="EXTERNAL_IRREVERSIBLE", instruction_bits=4), PARAMS
+    )
+    assert sum(e.stage is Stage.CONTROL for e in by_value.entries) == 3
+    by_member = SystemProfile(control_style=ControlStyle.EXTERNAL_IRREVERSIBLE, instruction_bits=4)
+    assert by_value == run_ledger(circuit, word, by_member, PARAMS)
+    closed = run_ledger(circuit, word, SystemProfile(environment="CLOSED"), PARAMS)
+    assert closed.observable is False
+    assert all(e.stage is not Stage.OUTPUT_READ for e in closed.entries)
+    assert SystemProfile(environment="CLOSED") == SystemProfile(environment=Environment.CLOSED)
+    with pytest.raises(ValueError, match="'closed' is not a valid Environment"):
+        SystemProfile(environment="closed")
+    with pytest.raises(ValueError, match="is not a valid ControlStyle"):
+        SystemProfile(control_style="CYCLIC_TAG")
+
+
 def test_run_ledger_ideal_wires_skip_interconnect():
     circuit = Circuit(2, (NOT(0),))
     ledger = run_ledger(

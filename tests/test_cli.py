@@ -548,6 +548,14 @@ def test_classify_levels(capsys):
     assert json.loads(out) == {"level": "NSLR", "rank": 0}
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_classify_closed_and_cyclic_tag_leave_the_level(fmt, capsys):
+    plain = run_cli(capsys, "classify", "--logical-reversible", "--format", fmt)
+    flagged = run_cli(capsys, "classify", "--logical-reversible", "--closed", "--cyclic-tag", "--format", fmt)
+    assert plain[0] == 0
+    assert flagged == plain
+
+
 def test_classify_without_capabilities_fails(capsys):
     code, _, err = run_cli(capsys, "classify")
     assert code == 1

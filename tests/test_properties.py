@@ -1,9 +1,9 @@
 """Generated-input properties of the circuit engine: the whole-table kernel
 agrees with single-word simulation, undoes itself, and the embeddings and
 lifts built on whole-table arithmetic match their per-word definitions.
-Of the quantum layer: a sampled path is one of the enumerated branches,
-apply gives the bytes of a moveaxis reference, and measure does not depend
-on the state's scale.
+Of the quantum layer: a sampled path is one of the enumerated branches and
+the path of an accumulating reference sampler, apply gives the bytes of a
+moveaxis reference, and measure does not depend on the state's scale.
 Of the ledger: every run meets its own bound, and every entry, bound and
 report equals that of a reference copy of the per-stage pricing. Of the
 table, netlist and parameter text formats: format then parse is the
@@ -13,6 +13,7 @@ every weight kept."""
 
 import json
 import math
+import random
 from dataclasses import astuple, fields
 
 import numpy as np
@@ -66,7 +67,7 @@ from revlab import (
     wire_dissipation_per_cycle,
 )
 from revlab.circuits import _apply_kind, _load_word
-from revlab.quantum import PROB_FLOOR
+from revlab.quantum import PROB_FLOOR, _walk
 from revlab.tables import meaningful_lines
 
 
@@ -208,6 +209,33 @@ def test_a_sampled_path_is_one_of_the_enumerated_branches(program, seed):
     (branch,) = [b for b in run_program(ops, n) if b.outcomes == path.outcomes]
     assert branch.probability == path.probability
     assert np.array_equal(branch.state, path.state)
+
+
+def reference_sample_program(ops, seed, n_qubits=None):
+    """sample_program as it was before its one-draw pick: accumulate the
+    outcome probabilities until the draw falls below the sum, else take the
+    last outcome."""
+    rng = random.Random(seed)
+
+    def pick(_p, results):
+        draw = rng.random()
+        acc = 0.0
+        for outcome in results:
+            acc += outcome.probability
+            if draw < acc:
+                return [outcome]
+        return results[-1:]
+
+    return _walk(ops, n_qubits, pick)[0]
+
+
+@given(programs(), st.integers(0, 2**32 - 1))
+def test_a_sampled_path_is_the_accumulating_reference_path(program, seed):
+    n, ops = program
+    path, expected = sample_program(ops, seed, n), reference_sample_program(ops, seed, n)
+    assert path.outcomes == expected.outcomes
+    assert path.probability == expected.probability
+    assert path.state.tobytes() == expected.state.tobytes()
 
 
 @st.composite

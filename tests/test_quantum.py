@@ -275,6 +275,7 @@ def test_parse_program_and_format():
         "MEASURE\n",
         "H -1\n",
         "MEASURE x\n",
+        "MEASURE 0 1\n",
     ],
 )
 def test_parse_program_rejects(text):
