@@ -27,7 +27,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .errors import LineOutOfRange, NotReversible, ParseError, TooWide, WidthMismatch
-from .tables import MAX_WIDTH, BitWord, TruthTable, is_reversible, meaningful_lines
+from .tables import MAX_WIDTH, BitWord, TruthTable, is_reversible, meaningful_lines, parse_int
 
 
 class GateKind(Enum):
@@ -102,12 +102,15 @@ def _apply_kind(gate: Gate, w: int | np.ndarray, width: int) -> int | np.ndarray
     return w ^ (d << a | d << b)
 
 
+def _check_width(gate: Gate, width: int) -> None:
+    # Gate guarantees its lines are non-empty and non-negative
+    if max(gate.lines) >= width:
+        raise LineOutOfRange(f"{gate.kind.value} on lines {gate.lines} exceeds width {width}")
+
+
 def apply_gate(gate: Gate, state: BitWord) -> BitWord:
     """Apply one gate to a full-width state word."""
-    if any(line >= state.width for line in gate.lines):
-        raise LineOutOfRange(
-            f"{gate.kind.value} on lines {gate.lines} exceeds width {state.width}"
-        )
+    _check_width(gate, state.width)
     return BitWord(state.width, _apply_kind(gate, state.value, state.width))
 
 
@@ -134,10 +137,7 @@ class Circuit:
         )
         object.__setattr__(self, "garbage", frozenset(self.garbage))
         for gate in self.gates:
-            if any(line >= self.width for line in gate.lines):
-                raise LineOutOfRange(
-                    f"{gate.kind.value} on lines {gate.lines} exceeds width {self.width}"
-                )
+            _check_width(gate, self.width)
         for line, bit in self.ancillas.items():
             if not 0 <= line < self.width:
                 raise LineOutOfRange(f"ancilla line {line} exceeds width {self.width}")
@@ -273,24 +273,26 @@ _MNEMONICS = {kind.value: kind for kind in GateKind}
 
 def parse_circuit(text: str) -> Circuit:
     """Parse the netlist text format (see module docstring)."""
-    width: int | None = None
+    lines = meaningful_lines(text)
+    header = next(lines, None)
+    if header is None:
+        raise ParseError("empty netlist: missing 'lines <width>' header")
+    word, *args = header.split()
+    if word != "lines" or len(args) != 1:
+        raise ParseError(f"expected 'lines <width>' header, got {header!r}")
+    width = parse_int(args[0], header)
+    if width < 0:
+        raise ParseError("line count must be non-negative")
     gates: list[Gate] = []
     ancillas: dict[int, int] = {}
     garbage: set[int] = set()
-    for line in meaningful_lines(text):
+    for line in lines:
         word, *args = line.split()
-        if width is None:
-            if word != "lines" or len(args) != 1:
-                raise ParseError(f"expected 'lines <width>' header, got {line!r}")
-            width = _parse_int(args[0], line)
-            if width < 0:
-                raise ParseError("line count must be non-negative")
-            continue
         if word == "ancilla":
             if len(args) != 2:
                 raise ParseError(f"expected 'ancilla <line> <0|1>', got {line!r}")
-            idx = _parse_int(args[0], line)
-            bit = _parse_int(args[1], line)
+            idx = parse_int(args[0], line)
+            bit = parse_int(args[1], line)
             if bit not in (0, 1):
                 raise ParseError(f"ancilla constant must be 0 or 1 in {line!r}")
             if idx in ancillas:
@@ -299,16 +301,16 @@ def parse_circuit(text: str) -> Circuit:
         elif word == "garbage":
             if len(args) != 1:
                 raise ParseError(f"expected 'garbage <line>', got {line!r}")
-            garbage.add(_parse_int(args[0], line))
+            garbage.add(parse_int(args[0], line))
         elif word in _MNEMONICS:
             try:
-                gates.append(Gate(_MNEMONICS[word], tuple(_parse_int(a, line) for a in args)))
-            except ValueError as exc:
+                gate = Gate(_MNEMONICS[word], tuple(parse_int(a, line) for a in args))
+                _check_width(gate, width)
+            except (LineOutOfRange, ValueError) as exc:
                 raise ParseError(f"{exc} in {line!r}") from exc
+            gates.append(gate)
         else:
             raise ParseError(f"unknown directive {word!r}")
-    if width is None:
-        raise ParseError("empty netlist: missing 'lines <width>' header")
     try:
         return Circuit(width, tuple(gates), ancillas, frozenset(garbage))
     except (LineOutOfRange, ValueError) as exc:
@@ -325,10 +327,3 @@ def format_circuit(circuit: Circuit) -> str:
     for gate in circuit.gates:
         out.append(" ".join([gate.kind.value, *map(str, gate.lines)]))
     return "\n".join(out) + "\n"
-
-
-def _parse_int(token: str, line: str) -> int:
-    try:
-        return int(token)
-    except ValueError as exc:
-        raise ParseError(f"bad integer {token!r} in {line!r}") from exc

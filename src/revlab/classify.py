@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass
+import numbers
+from dataclasses import asdict, dataclass, fields
 from enum import Enum, IntEnum
 
 from .circuits import Circuit, step_states, to_truth_table
@@ -88,6 +89,12 @@ class SystemProfile:
         # run_ledger tests these with `is`: take the member or its value string
         object.__setattr__(self, "environment", Environment(self.environment))
         object.__setattr__(self, "control_style", ControlStyle(self.control_style))
+        # classify and run_ledger read the flags by truth and compare the numbers, so
+        # hold each to its annotation (a string here); any real number is a float
+        for f in fields(self):
+            kind = {"bool": bool, "float": numbers.Real}.get(f.type)
+            if kind is not None and not isinstance(getattr(self, f.name), kind):
+                raise ValueError(f"{f.name} must be a {f.type}, got {getattr(self, f.name)!r}")
         if not isinstance(self.instruction_bits, int) or self.instruction_bits < 0:
             raise ValueError(f"instruction_bits must be a non-negative int, got {self.instruction_bits!r}")
         if not 0.0 <= self.recovered_fraction <= 1.0:
@@ -273,10 +280,8 @@ def check_bound(ledger: DissipationLedger, bits: BoundInput, params: EnergyParam
 def sci6(x: float) -> str:
     """Scientific notation with six digits after the point and a bare
     exponent, e.g. 2.803511e-21, 0.000000e0."""
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
+    if not math.isfinite(x):
+        return str(x)
     mantissa, _, exponent = f"{x:.6e}".partition("e")
     return f"{mantissa}e{int(exponent)}"
 

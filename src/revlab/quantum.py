@@ -38,7 +38,7 @@ from .errors import (
     TooWide,
     ZeroNorm,
 )
-from .tables import TruthTable, is_reversible, meaningful_lines
+from .tables import TruthTable, is_reversible, meaningful_lines, parse_int
 
 MAX_QUBITS = 10
 UNITARY_TOL = 1e-10
@@ -211,7 +211,9 @@ def parse_program(text: str) -> tuple[Op, ...]:
             args = args[1:]
         elif len(args) != want:
             raise ParseError(f"{name} takes {want} qubit(s): {line!r}")
-        qubits = tuple(_parse_qubit(a, line) for a in args)
+        qubits = tuple(parse_int(a, line) for a in args)
+        if min(qubits) < 0:  # every op names at least one qubit
+            raise ParseError(f"negative qubit index in {line!r}")
         if len(set(qubits)) != len(qubits):
             raise ParseError(f"duplicate qubit in {line!r}")
         ops.append(Op(name, qubits, theta))
@@ -283,13 +285,3 @@ def sample_program(
         n_qubits,
         lambda _p, results: results[:1] if rng.random() < results[0].probability else results[-1:],
     )[0]
-
-
-def _parse_qubit(token: str, line: str) -> int:
-    try:
-        value = int(token)
-    except ValueError as exc:
-        raise ParseError(f"bad qubit index {token!r} in {line!r}") from exc
-    if value < 0:
-        raise ParseError(f"negative qubit index in {line!r}")
-    return value

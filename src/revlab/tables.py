@@ -167,10 +167,7 @@ def parse_table(text: str) -> TruthTable:
     head = header.split()
     if len(head) != 3 or head[0] != "table":
         raise ParseError(f"expected 'table <in_width> <out_width>', got {header!r}")
-    try:
-        in_width, out_width = int(head[1]), int(head[2])
-    except ValueError as exc:
-        raise ParseError(f"bad table widths in {header!r}") from exc
+    in_width, out_width = parse_int(head[1], header), parse_int(head[2], header)
     if not 0 <= in_width <= MAX_WIDTH or not 0 <= out_width <= MAX_WIDTH:
         raise ParseError(f"table widths must be in 0..{MAX_WIDTH}")
 
@@ -205,3 +202,12 @@ def meaningful_lines(text: str) -> Iterator[str]:
     removed. Shared by every text format the toolkit reads."""
     stripped = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
     return (line for line in stripped if line)
+
+
+def parse_int(token: str, line: str) -> int:
+    """The integer a token spells, quoting its line when it spells none.
+    Shared by every text format the toolkit reads."""
+    try:
+        return int(token)
+    except ValueError as exc:
+        raise ParseError(f"bad integer {token!r} in {line!r}") from exc

@@ -3,7 +3,7 @@
 Run `pytest tests/test_acceptance.py -v -s` to see the verdict lines as
 they print. Every frozen number here is recomputed from independent
 arithmetic inside the test body, not read back from the library. The
-README's library example also runs as written.
+README's library example and its command-line examples also run as written.
 """
 
 import dataclasses
@@ -11,6 +11,7 @@ import itertools
 import math
 import random
 import re
+import shlex
 import time
 from pathlib import Path
 
@@ -55,6 +56,7 @@ from revlab import (
     wire_dissipation_per_cycle,
     wire_resistance,
 )
+from revlab.cli import main
 
 _DURATIONS: dict[int, float] = {}
 
@@ -432,3 +434,16 @@ def test_the_readme_library_example_runs():
     namespace: dict = {}
     exec(block, namespace)
     assert str(namespace["out"]) == "11"
+
+
+def test_the_readme_command_examples_run(monkeypatch, capsys):
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```$", readme, re.DOTALL | re.MULTILINE)
+    (block,) = [b for b in blocks if b.startswith("$ ")]
+    monkeypatch.chdir(Path(__file__).parent / "golden")
+    examples = block.split("\n\n")
+    for example in examples:
+        command, *expected = example.rstrip("\n").split("\n")
+        assert main(shlex.split(command.removeprefix("$ revlab "))) == 0, command
+        assert capsys.readouterr().out == "\n".join(expected) + "\n", command
+    assert len(examples) == 3

@@ -311,6 +311,8 @@ def test_parse_circuit_rejects(text):
         ("NOT -1", None),
         ("TOF 0 -1 1", None),
         ("CNOT x", "bad integer 'x' in 'CNOT x'"),  # the bad integer before the arity
+        ("NOT 5", "NOT on lines (5,) exceeds width 3 in 'NOT 5'"),
+        ("TOF 0 1 3", None),
     ],
 )
 def test_a_gate_line_error_names_its_line(gate_line, message):

@@ -95,6 +95,20 @@ def test_profile_validation():
         SystemProfile(reconfiguration_units=-0.1)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("ideal_transmission", "no"),  # read by truth, it would drop INTERCONNECT
+        ("logical_reversible_components", "no"),  # and classify as SLR
+        ("recovered_fraction", "0.5"),  # compared, it would raise TypeError
+        ("reconfiguration_units", "2"),
+    ],
+)
+def test_a_profile_checks_the_type_of_each_flag_and_number(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be a "):
+        SystemProfile(**{field: value})
+
+
 def test_ledger_entry_validation():
     with pytest.raises(ValueError):
         LedgerEntry(Stage.COMPUTE, -1, 0.0)

@@ -15,6 +15,8 @@ from revlab import (
     invert,
     is_conservative,
     is_reversible,
+    parse_circuit,
+    parse_program,
     parse_table,
 )
 
@@ -203,3 +205,19 @@ def test_parse_table_text():
 def test_parse_table_rejects(text):
     with pytest.raises(ParseError):
         parse_table(text)
+
+
+@pytest.mark.parametrize(
+    "parse, text, token, line",
+    [
+        (parse_table, "table x 2\n", "x", "table x 2"),
+        (parse_circuit, "lines w\n", "w", "lines w"),
+        (parse_circuit, "lines 2\nCNOT 0 y\n", "y", "CNOT 0 y"),
+        (parse_program, "H z\n", "z", "H z"),
+        (parse_program, "IZZ 0.5 0 q\n", "q", "IZZ 0.5 0 q"),
+    ],
+)
+def test_every_format_reports_a_bad_integer_alike(parse, text, token, line):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == f"bad integer {token!r} in {line!r}"
