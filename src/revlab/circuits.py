@@ -282,39 +282,36 @@ def parse_circuit(text: str) -> Circuit:
         raise ParseError(f"expected 'lines <width>' header, got {header!r}")
     width = parse_int(args[0], header)
     if width < 0:
-        raise ParseError("line count must be non-negative")
+        raise ParseError(f"line count must be non-negative in {header!r}")
     gates: list[Gate] = []
     ancillas: dict[int, int] = {}
     garbage: set[int] = set()
     for line in lines:
         word, *args = line.split()
-        if word == "ancilla":
-            if len(args) != 2:
-                raise ParseError(f"expected 'ancilla <line> <0|1>', got {line!r}")
-            idx = parse_int(args[0], line)
-            bit = parse_int(args[1], line)
-            if bit not in (0, 1):
-                raise ParseError(f"ancilla constant must be 0 or 1 in {line!r}")
-            if idx in ancillas:
-                raise ParseError(f"ancilla line {idx} declared twice")
-            ancillas[idx] = bit
-        elif word == "garbage":
-            if len(args) != 1:
-                raise ParseError(f"expected 'garbage <line>', got {line!r}")
-            garbage.add(parse_int(args[0], line))
-        elif word in _MNEMONICS:
-            try:
+        try:
+            if word == "ancilla":
+                if len(args) != 2:
+                    raise ParseError(f"expected 'ancilla <line> <0|1>', got {line!r}")
+                idx, bit = (parse_int(a, line) for a in args)
+                if idx in ancillas:
+                    raise ValueError(f"ancilla line {idx} declared twice")
+                Circuit(width, ancillas={idx: bit})
+                ancillas[idx] = bit
+            elif word == "garbage":
+                if len(args) != 1:
+                    raise ParseError(f"expected 'garbage <line>', got {line!r}")
+                idx = parse_int(args[0], line)
+                Circuit(width, garbage={idx})
+                garbage.add(idx)
+            elif word in _MNEMONICS:
                 gate = Gate(_MNEMONICS[word], tuple(parse_int(a, line) for a in args))
                 _check_width(gate, width)
-            except (LineOutOfRange, ValueError) as exc:
-                raise ParseError(f"{exc} in {line!r}") from exc
-            gates.append(gate)
-        else:
-            raise ParseError(f"unknown directive {word!r}")
-    try:
-        return Circuit(width, tuple(gates), ancillas, frozenset(garbage))
-    except (LineOutOfRange, ValueError) as exc:
-        raise ParseError(str(exc)) from exc
+                gates.append(gate)
+            else:
+                raise ParseError(f"unknown directive {word!r}")
+        except (LineOutOfRange, ValueError) as exc:
+            raise ParseError(f"{exc} in {line!r}") from exc
+    return Circuit(width, tuple(gates), ancillas, frozenset(garbage))
 
 
 def format_circuit(circuit: Circuit) -> str:

@@ -90,12 +90,13 @@ class SystemProfile:
         object.__setattr__(self, "environment", Environment(self.environment))
         object.__setattr__(self, "control_style", ControlStyle(self.control_style))
         # classify and run_ledger read the flags by truth and compare the numbers, so
-        # hold each to its annotation (a string here); any real number is a float
+        # hold each to its annotation (a string here); any real number but a bool is a float
         for f in fields(self):
             kind = {"bool": bool, "float": numbers.Real}.get(f.type)
-            if kind is not None and not isinstance(getattr(self, f.name), kind):
-                raise ValueError(f"{f.name} must be a {f.type}, got {getattr(self, f.name)!r}")
-        if not isinstance(self.instruction_bits, int) or self.instruction_bits < 0:
+            value = getattr(self, f.name)
+            if kind is not None and (not isinstance(value, kind) or isinstance(value, bool) != (kind is bool)):
+                raise ValueError(f"{f.name} must be a {f.type}, got {value!r}")
+        if isinstance(self.instruction_bits, bool) or not isinstance(self.instruction_bits, int) or self.instruction_bits < 0:
             raise ValueError(f"instruction_bits must be a non-negative int, got {self.instruction_bits!r}")
         if not 0.0 <= self.recovered_fraction <= 1.0:
             raise ValueError(f"recovered_fraction must be in [0, 1], got {self.recovered_fraction!r}")
@@ -126,7 +127,7 @@ class LedgerEntry:
     joules: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.bits, int) or self.bits < 0:
+        if isinstance(self.bits, bool) or not isinstance(self.bits, int) or self.bits < 0:
             raise ValueError(f"{self.stage.value} bits must be a non-negative int, got {self.bits!r}")
         if not math.isfinite(self.joules) or self.joules < 0:
             raise ValueError(f"{self.stage.value} joules must be finite and non-negative, got {self.joules!r}")

@@ -13,6 +13,7 @@ names of EnergyParams and values are floats in SI units.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from .errors import MissingParameter, ParseError, ZeroFrequency
 from .tables import meaningful_lines
@@ -44,8 +45,8 @@ class EnergyParams:
     def __post_init__(self) -> None:
         for fld in fields(self):
             value = getattr(self, fld.name)
-            if not math.isfinite(value) or value < 0:
-                raise ValueError(f"{fld.name} must be finite and non-negative, got {value}")
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value) or value < 0:
+                raise ValueError(f"{fld.name} must be finite and non-negative, got {value!r}")
         if self.wire_cross_section == 0:
             raise ValueError("wire_cross_section must be positive")
 
@@ -89,7 +90,7 @@ class BoundInput:
     def __post_init__(self) -> None:
         for fld in fields(self):
             value = getattr(self, fld.name)
-            if not isinstance(value, int) or value < 0:
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
                 raise ValueError(f"{fld.name} must be a non-negative int, got {value!r}")
 
     @property
@@ -193,10 +194,11 @@ def parse_params(text: str) -> EnergyParams:
             values[key] = float(token)
         except ValueError as exc:
             raise ParseError(f"bad value {token!r} for {key!r}") from exc
-    try:
-        return EnergyParams(**values)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+        try:
+            EnergyParams(**{key: values[key]})
+        except ValueError as exc:
+            raise ParseError(f"{exc} in {line!r}") from exc
+    return EnergyParams(**values)
 
 
 def format_params(params: EnergyParams) -> str:

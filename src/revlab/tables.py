@@ -169,7 +169,7 @@ def parse_table(text: str) -> TruthTable:
         raise ParseError(f"expected 'table <in_width> <out_width>', got {header!r}")
     in_width, out_width = parse_int(head[1], header), parse_int(head[2], header)
     if not 0 <= in_width <= MAX_WIDTH or not 0 <= out_width <= MAX_WIDTH:
-        raise ParseError(f"table widths must be in 0..{MAX_WIDTH}")
+        raise ParseError(f"table widths must be in 0..{MAX_WIDTH} in {header!r}")
 
     rows: dict[int, int] = {}
     for line in lines:

@@ -30,6 +30,8 @@ from revlab import (
     is_conservative,
     is_reversible,
     parse_circuit,
+    parse_params,
+    parse_table,
     simulate,
     step_states,
     to_truth_table,
@@ -292,6 +294,8 @@ def test_parse_circuit_text():
         "lines 2\nancilla 1\n",  # constant missing
         "lines 2\ngarbage\n",  # line missing
         "lines 2\nNOT -1\n",  # negative line
+        "lines 2\nancilla 5 0\n",  # ancilla past the width
+        "lines 2\ngarbage 7\n",  # garbage past the width
     ],
 )
 def test_parse_circuit_rejects(text):
@@ -321,3 +325,26 @@ def test_a_gate_line_error_names_its_line(gate_line, message):
     assert str(info.value).endswith(f" in {gate_line!r}")
     if message is not None:
         assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_circuit, "lines 2\nancilla 5 0\n", "ancilla line 5 exceeds width 2 in 'ancilla 5 0'"),
+        (parse_circuit, "lines 2\ngarbage 7\n", "garbage line 7 exceeds width 2 in 'garbage 7'"),
+        (parse_circuit, "lines 2\nancilla 1 1\nancilla 1 1\n", "ancilla line 1 declared twice in 'ancilla 1 1'"),
+        (parse_circuit, "lines 2\nancilla 0 2\n", "ancilla constant must be 0 or 1, got 2 in 'ancilla 0 2'"),
+        (parse_circuit, "lines -1\n", "line count must be non-negative in 'lines -1'"),
+        (parse_table, "table 17 2\n", "table widths must be in 0..16 in 'table 17 2'"),
+        (parse_params, "T = -1\n", "T must be finite and non-negative, got -1.0 in 'T = -1'"),
+        (
+            parse_params,
+            "wire_cross_section = 0\n",
+            "wire_cross_section must be positive in 'wire_cross_section = 0'",
+        ),
+    ],
+)
+def test_a_directive_header_or_technology_fault_quotes_its_line(parse, text, message):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == message

@@ -102,11 +102,29 @@ def test_profile_validation():
         ("logical_reversible_components", "no"),  # and classify as SLR
         ("recovered_fraction", "0.5"),  # compared, it would raise TypeError
         ("reconfiguration_units", "2"),
+        ("instruction_bits", True),  # priced, it would print "bits": true
     ],
 )
 def test_a_profile_checks_the_type_of_each_flag_and_number(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be a "):
         SystemProfile(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "record, values, field",
+    [
+        (BoundInput, {"k": True}, "k"),
+        (BoundInput, {"n_pr": False}, "n_pr"),
+        (LedgerEntry, {"stage": Stage.CONTROL, "bits": True, "joules": 0.0}, "CONTROL bits"),
+        (SystemProfile, {"recovered_fraction": True}, "recovered_fraction"),
+        (SystemProfile, {"reconfiguration_units": False}, "reconfiguration_units"),
+        (EnergyParams, {"T": True}, "T"),
+        (EnergyParams, {"T": "300"}, "T"),  # compared, it would raise TypeError
+    ],
+)
+def test_a_record_rejects_a_bool_or_a_string_where_a_number_goes(record, values, field):
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        record(**values)
 
 
 def test_ledger_entry_validation():
