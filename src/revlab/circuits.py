@@ -301,6 +301,8 @@ def parse_circuit(text: str) -> Circuit:
                 if len(args) != 1:
                     raise ParseError(f"expected 'garbage <line>', got {line!r}")
                 idx = parse_int(args[0], line)
+                if idx in garbage:
+                    raise ValueError(f"garbage line {idx} declared twice")
                 Circuit(width, garbage={idx})
                 garbage.add(idx)
             elif word in _MNEMONICS:
@@ -308,7 +310,7 @@ def parse_circuit(text: str) -> Circuit:
                 _check_width(gate, width)
                 gates.append(gate)
             else:
-                raise ParseError(f"unknown directive {word!r}")
+                raise ParseError(f"unknown directive {word!r} in {line!r}")
         except (LineOutOfRange, ValueError) as exc:
             raise ParseError(f"{exc} in {line!r}") from exc
     return Circuit(width, tuple(gates), ancillas, frozenset(garbage))

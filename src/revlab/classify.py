@@ -101,7 +101,7 @@ class SystemProfile:
         if not 0.0 <= self.recovered_fraction <= 1.0:
             raise ValueError(f"recovered_fraction must be in [0, 1], got {self.recovered_fraction!r}")
         if not math.isfinite(self.reconfiguration_units) or self.reconfiguration_units < 0:
-            raise ValueError(f"reconfiguration_units must be finite and non-negative")
+            raise ValueError(f"reconfiguration_units must be finite and non-negative, got {self.reconfiguration_units!r}")
 
 
 def classify(profile: SystemProfile) -> Level:

@@ -187,13 +187,13 @@ def parse_params(text: str) -> EnergyParams:
             raise ParseError(f"expected 'key = value', got {line!r}")
         key, _, token = (part.strip() for part in line.partition("="))
         if key not in _FIELD_NAMES:
-            raise ParseError(f"unknown parameter {key!r}")
+            raise ParseError(f"unknown parameter {key!r} in {line!r}")
         if key in values:
-            raise ParseError(f"parameter {key!r} set twice")
+            raise ParseError(f"parameter {key!r} set twice in {line!r}")
         try:
             values[key] = float(token)
         except ValueError as exc:
-            raise ParseError(f"bad value {token!r} for {key!r}") from exc
+            raise ParseError(f"bad value {token!r} for {key!r} in {line!r}") from exc
         try:
             EnergyParams(**{key: values[key]})
         except ValueError as exc:

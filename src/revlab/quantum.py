@@ -196,7 +196,7 @@ def parse_program(text: str) -> tuple[Op, ...]:
     for line in meaningful_lines(text):
         name, *args = line.split()
         if name not in _OP_QUBITS:
-            raise ParseError(f"unknown gate {name!r}")
+            raise ParseError(f"unknown gate {name!r} in {line!r}")
         want = _OP_QUBITS[name]
         theta: float | None = None
         if name in _PARAMETRIC:

@@ -13,8 +13,9 @@ character, so the string is the plain binary rendering of the word value.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import NotReversible, ParseError, WidthMismatch
 
@@ -99,11 +100,17 @@ class TruthTable:
                 f"got {len(self.rows)}"
             )
         limit = 1 << self.out_width
-        for x, y in enumerate(self.rows):
-            if not 0 <= y < limit:
-                raise ValueError(
-                    f"output {y} of input {x} does not fit in {self.out_width} bits"
-                )
+        try:
+            in_range = min(self.rows) >= 0 and max(self.rows) < limit
+        except TypeError:
+            in_range = False
+        if not in_range:
+            # name the first offending input, or raise as a non-int row does
+            for x, y in enumerate(self.rows):
+                if not 0 <= y < limit:
+                    raise ValueError(
+                        f"output {y} of input {x} does not fit in {self.out_width} bits"
+                    )
 
     def __call__(self, x: int) -> int:
         return self.rows[x]
@@ -159,7 +166,119 @@ def parse_table(text: str) -> TruthTable:
     First meaningful line is ``table <in_width> <out_width>``, then one
     ``bits -> bits`` row per line. '#' starts a comment. Every input word must
     be listed exactly once; unlisted or repeated inputs are an error.
+
+    Rows are decoded a whole bit column at a time from the layout
+    format_table writes. Text in any other layout, or with a fault, is first
+    rewritten into that layout by a line loop, which raises the first fault
+    in line order.
     """
+    layout = _fixed_layout(text)
+    rows = None if layout is None else _decode_rows(*layout)
+    if rows is None:
+        layout = _normalised(text)
+        rows = _decode_rows(*layout)
+    in_width, out_width, _ = layout
+    return TruthTable(in_width, out_width, tuple(rows))
+
+
+def format_table(t: TruthTable) -> str:
+    """Render a table in the text format accepted by parse_table."""
+    n, m = t.in_width, t.out_width
+    size, length = 1 << n, n + m + 5
+    body = bytearray(_zero_row(n, m) * size)
+    for j, column in enumerate(_counting_columns(n)):
+        body[j::length] = column
+    for j, column in enumerate(_digit_columns(t.rows, m)):
+        body[n + 4 + j :: length] = column
+    return f"table {n} {m}\n" + body.decode("ascii")
+
+
+# The fixed layout: a bare header line, then one row line of in_width + 4 +
+# out_width + 1 bytes per input word, so byte column j of the body is
+# body[j::line_length]. Values travel as two 8-bit lanes (low, high):
+# _BIT_VALUE[b] maps a digit to bit b of a lane byte, and _BIT_TEXT[b] back.
+_WIDTH_TOKENS = {str(width): width for width in range(MAX_WIDTH + 1)}
+_ONES_AS_ZEROS = bytes.maketrans(b"1", b"0")
+_BIT_VALUE = [bytes.maketrans(b"01", bytes([0, 1 << bit])) for bit in range(8)]
+
+
+def _zero_row(in_width: int, out_width: int) -> bytes:
+    """A row line of the fixed layout with every digit '0'."""
+    return b"0" * in_width + b" -> " + b"0" * out_width + b"\n"
+
+
+def _counting_columns(width: int) -> list[bytes]:
+    """The digit columns of the words 0 .. 2**width - 1 in order, most
+    significant first: bit b reads 2**b zeros, 2**b ones, and so on."""
+    return [
+        (b"0" * (1 << bit) + b"1" * (1 << bit)) * (1 << width >> bit + 1)
+        for bit in reversed(range(width))
+    ]
+
+
+_BIT_TEXT = _counting_columns(8)[::-1]
+
+
+def _fixed_layout(text: str) -> tuple[int, int, bytes] | None:
+    """(in_width, out_width, body) when text is a bare ``table <n> <m>``
+    line and an ASCII body of the fixed layout's length, else None."""
+    header, _, body = text.partition("\n")
+    fields = header.split(" ")
+    if len(fields) != 3 or fields[0] != "table":
+        return None
+    if fields[1] not in _WIDTH_TOKENS or fields[2] not in _WIDTH_TOKENS:
+        return None
+    in_width, out_width = _WIDTH_TOKENS[fields[1]], _WIDTH_TOKENS[fields[2]]
+    if not body.isascii() or len(body) != (in_width + out_width + 5) << in_width:
+        return None
+    return in_width, out_width, body.encode("ascii")
+
+
+def _decode_rows(in_width: int, out_width: int, body: bytes) -> Sequence[int] | None:
+    """The rows of a fixed-layout body, or None when a byte is out of place
+    or an input is listed twice."""
+    size, length = 1 << in_width, in_width + out_width + 5
+    if body.translate(_ONES_AS_ZEROS) != _zero_row(in_width, out_width) * size:
+        return None
+    ys = _column_values(body, in_width + 4, out_width, length)
+    if all(body[j::length] == column for j, column in enumerate(_counting_columns(in_width))):
+        return ys
+    xs = _column_values(body, 0, in_width, length)
+    if len(set(xs)) != size:
+        return None
+    rows = [0] * size
+    for x, y in zip(xs, ys):
+        rows[x] = y
+    return rows
+
+
+def _column_values(body: bytes, first: int, width: int, length: int) -> tuple[int, ...]:
+    """The values whose digits, most significant first, are the width byte
+    columns of a checked fixed-layout body from column first on."""
+    count = len(body) // length
+    lanes = [0, 0]
+    for j in range(width):
+        bit = width - 1 - j
+        column = body[first + j :: length].translate(_BIT_VALUE[bit & 7])
+        lanes[bit >> 3] |= int.from_bytes(column, "little")
+    words = bytearray(2 * count)
+    words[0::2] = lanes[0].to_bytes(count, "little")
+    words[1::2] = lanes[1].to_bytes(count, "little")
+    return struct.unpack(f"<{count}H", words)
+
+
+def _digit_columns(values: Sequence[int], width: int) -> list[bytes]:
+    """The digit text of each bit column of width-bit values, most
+    significant first."""
+    raw = struct.pack(f"<{len(values)}H", *values)
+    lanes = raw[0::2], raw[1::2]
+    return [lanes[bit >> 3].translate(_BIT_TEXT[bit & 7]) for bit in reversed(range(width))]
+
+
+def _normalised(text: str) -> tuple[int, int, bytes]:
+    """Any table text rewritten into the fixed layout, one line at a time:
+    comments, blank lines, spacing and row order do not matter. Raises the
+    first fault in line order."""
     lines = meaningful_lines(text)
     header = next(lines, None)
     if header is None:
@@ -171,7 +290,8 @@ def parse_table(text: str) -> TruthTable:
     if not 0 <= in_width <= MAX_WIDTH or not 0 <= out_width <= MAX_WIDTH:
         raise ParseError(f"table widths must be in 0..{MAX_WIDTH} in {header!r}")
 
-    rows: dict[int, int] = {}
+    seen: set[str] = set()
+    body = []
     for line in lines:
         parts = line.split("->")
         if len(parts) != 2:
@@ -179,22 +299,14 @@ def parse_table(text: str) -> TruthTable:
         src, dst = bit_digits(parts[0]), bit_digits(parts[1])
         if len(src) != in_width or len(dst) != out_width:
             raise ParseError(f"row {line!r} does not match table widths")
-        x = int(src or "0", 2)
-        if x in rows:
+        if src in seen:
             raise ParseError(f"input {src} listed twice")
-        rows[x] = int(dst or "0", 2)
-    missing = (1 << in_width) - len(rows)
+        seen.add(src)
+        body.append(f"{src} -> {dst}\n")
+    missing = (1 << in_width) - len(seen)
     if missing:
         raise ParseError(f"{missing} input word(s) unlisted")
-    return TruthTable(in_width, out_width, tuple(rows[x] for x in range(1 << in_width)))
-
-
-def format_table(t: TruthTable) -> str:
-    """Render a table in the text format accepted by parse_table."""
-    out = [f"table {t.in_width} {t.out_width}"]
-    for x, y in enumerate(t.rows):
-        out.append(f"{bit_string(x, t.in_width)} -> {bit_string(y, t.out_width)}")
-    return "\n".join(out) + "\n"
+    return in_width, out_width, "".join(body).encode("ascii")
 
 
 def meaningful_lines(text: str) -> Iterator[str]:

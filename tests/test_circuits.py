@@ -31,6 +31,7 @@ from revlab import (
     is_reversible,
     parse_circuit,
     parse_params,
+    parse_program,
     parse_table,
     simulate,
     step_states,
@@ -333,6 +334,8 @@ def test_a_gate_line_error_names_its_line(gate_line, message):
         (parse_circuit, "lines 2\nancilla 5 0\n", "ancilla line 5 exceeds width 2 in 'ancilla 5 0'"),
         (parse_circuit, "lines 2\ngarbage 7\n", "garbage line 7 exceeds width 2 in 'garbage 7'"),
         (parse_circuit, "lines 2\nancilla 1 1\nancilla 1 1\n", "ancilla line 1 declared twice in 'ancilla 1 1'"),
+        (parse_circuit, "lines 2\ngarbage 1\ngarbage 1\n", "garbage line 1 declared twice in 'garbage 1'"),
+        (parse_circuit, "lines 2\nXOR 0 1\n", "unknown directive 'XOR' in 'XOR 0 1'"),
         (parse_circuit, "lines 2\nancilla 0 2\n", "ancilla constant must be 0 or 1, got 2 in 'ancilla 0 2'"),
         (parse_circuit, "lines -1\n", "line count must be non-negative in 'lines -1'"),
         (parse_table, "table 17 2\n", "table widths must be in 0..16 in 'table 17 2'"),
@@ -342,6 +345,10 @@ def test_a_gate_line_error_names_its_line(gate_line, message):
             "wire_cross_section = 0\n",
             "wire_cross_section must be positive in 'wire_cross_section = 0'",
         ),
+        (parse_params, "volts = 1\n", "unknown parameter 'volts' in 'volts = 1'"),
+        (parse_params, "T = 300\nT = 4\n", "parameter 'T' set twice in 'T = 4'"),
+        (parse_params, "T = cold\n", "bad value 'cold' for 'T' in 'T = cold'"),
+        (parse_program, "H 0\nFOO 1\n", "unknown gate 'FOO' in 'FOO 1'"),
     ],
 )
 def test_a_directive_header_or_technology_fault_quotes_its_line(parse, text, message):

@@ -91,7 +91,7 @@ def test_profile_validation():
         SystemProfile(instruction_bits=-1)
     with pytest.raises(ValueError):
         SystemProfile(recovered_fraction=1.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^reconfiguration_units must be finite and non-negative, got -0\.1$"):
         SystemProfile(reconfiguration_units=-0.1)
 
 

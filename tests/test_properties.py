@@ -546,6 +546,63 @@ def table_texts(draw):
     return "\n".join([header, *lines]) + "\n"
 
 
+@st.composite
+def fixed_layout_texts(draw):
+    """A formatted 7-10 bit table with one change that keeps the body's
+    length, so the whole body is checked at once: a byte replaced, two row
+    lines swapped, or one row line written over another."""
+    in_width, out_width = draw(st.integers(7, 10)), draw(st.integers(7, 10))
+    rng = draw(st.randoms(use_true_random=False))
+    rows = tuple(rng.randrange(1 << out_width) for _ in range(1 << in_width))
+    header, *lines = format_table(TruthTable(in_width, out_width, rows)).splitlines(keepends=True)
+    i, j = draw(st.integers(0, len(lines) - 1)), draw(st.integers(0, len(lines) - 1))
+    kind = draw(st.sampled_from(["byte", "swap", "overwrite"]))
+    if kind == "byte":
+        at = draw(st.integers(0, len(lines[i]) - 1))
+        lines[i] = lines[i][:at] + draw(st.sampled_from("01 ->x#\t\n")) + lines[i][at + 1 :]
+    elif kind == "swap":
+        lines[i], lines[j] = lines[j], lines[i]
+    else:
+        lines[i] = lines[j]
+    return header + "".join(lines)
+
+
+_IDENTITY_7 = format_table(TruthTable(7, 7, tuple(range(128))))
+
+
+@given(fixed_layout_texts())
+@example(_IDENTITY_7.replace("-> 0000011", "-> 00x0011"))  # a stray byte among the outputs
+@example(_IDENTITY_7.replace("0000011 ->", "00\t0011 ->"))  # among the inputs
+@example(_IDENTITY_7.replace("0000011 ->", "00000111>"))  # a digit where a separator goes
+@example(_IDENTITY_7.replace("0000011 ->", "0000010 ->"))  # an input listed twice
+def test_parse_table_checks_a_formatted_body_like_a_per_row_parser(text):
+    assert outcome(parse_table, text) == outcome(reference_parse_table, text)
+
+
+@st.composite
+def loose_table_texts(draw):
+    """A table written loosely: rows in any order, any spacing (non-ASCII
+    too), comments, blank lines, and LF or CRLF line ends."""
+    table = draw(tables(max_width=5))
+    header, *rows = format_table(table).splitlines()
+    gap = st.text(" \t\u00a0", max_size=2)
+    lines = []
+    for line in [header, *draw(st.permutations(rows))]:
+        if draw(st.booleans()):
+            lines.append(draw(gap) + draw(st.sampled_from(["", "# note"])))
+        tokens = line.split(" ")
+        line = tokens[0] + "".join(draw(gap) + " " + token for token in tokens[1:])
+        lines.append(draw(gap) + line + draw(gap) + draw(st.sampled_from(["", " # note"])))
+    return table, "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+
+
+@given(loose_table_texts())
+@example((TruthTable(0, 0, (0,)), "table 0 0\r\n->\r\n"))
+def test_parse_table_reads_any_layout_like_a_per_row_parser(case):
+    table, text = case
+    assert parse_table(text) == reference_parse_table(text) == table
+
+
 @given(table_texts())
 @example("table 2 1\n0x -> 1\n")
 @example("table 2 1\n01 -> 1x\n")

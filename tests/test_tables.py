@@ -85,6 +85,15 @@ def test_truth_table_validation():
         TruthTable(1, 1, (0, -1))
 
 
+def test_truth_table_names_the_first_row_out_of_range():
+    with pytest.raises(ValueError, match=r"^output 5 of input 1 does not fit in 2 bits$"):
+        TruthTable(2, 2, (0, 5, 7, 1))
+    with pytest.raises(ValueError, match=r"^output -1 of input 2 does not fit in 2 bits$"):
+        TruthTable(2, 2, (0, 1, -1, 9))
+    with pytest.raises(TypeError, match=r"^'<=' not supported between instances of 'int' and 'str'$"):
+        TruthTable(1, 1, (0, "1"))
+
+
 def test_truth_table_apply():
     out = CONTROLLED_FLIP.apply(BitWord(2, 0b10))
     assert out == BitWord(2, 0b11)
@@ -174,6 +183,37 @@ def test_parse_format_round_trip():
         rows = tuple(rng.randrange(1 << out_w) for _ in range(1 << in_w))
         table = TruthTable(in_w, out_w, rows)
         assert parse_table(format_table(table)) == table
+
+
+@pytest.mark.parametrize(
+    "in_width, out_width", [(0, 0), (7, 9), (8, 8), (9, 7), (15, 16), (16, 15), (16, 0)]
+)
+def test_parse_format_round_trip_where_the_lanes_split(in_width, out_width):
+    rng = random.Random(in_width * 17 + out_width)
+    rows = tuple(rng.randrange(1 << out_width) for _ in range(1 << in_width))
+    table = TruthTable(in_width, out_width, rows)
+    header, *lines = format_table(table).splitlines(keepends=True)
+    assert parse_table(header + "".join(lines)) == table
+    rng.shuffle(lines)  # inputs out of order take the scatter
+    assert parse_table(header + "".join(lines)) == table
+
+
+def reference_format_table(t):
+    """format_table one f-string per row."""
+    def bits(value, width):
+        return f"{value:0{width}b}" if width else ""
+
+    rows = (f"{bits(x, t.in_width)} -> {bits(y, t.out_width)}\n" for x, y in enumerate(t.rows))
+    return f"table {t.in_width} {t.out_width}\n" + "".join(rows)
+
+
+@pytest.mark.parametrize("in_width", range(17))
+def test_format_table_writes_what_a_per_row_formatter_writes(in_width):
+    out_width = 16 - in_width if in_width != 8 else 7
+    rng = random.Random(in_width)
+    rows = tuple(rng.randrange(1 << out_width) for _ in range(1 << in_width))
+    table = TruthTable(in_width, out_width, rows)
+    assert format_table(table) == reference_format_table(table)
 
 
 def test_parse_table_text():
