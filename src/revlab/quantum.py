@@ -23,7 +23,7 @@ import cmath
 import math
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -109,13 +109,9 @@ def _check_state(state: np.ndarray) -> tuple[np.ndarray, int]:
     return vec, n
 
 
-def apply(matrix: np.ndarray, state: np.ndarray, targets: Sequence[int]) -> np.ndarray:
-    """Apply a k-qubit operator to the given target qubits of a state vector.
-
-    Targets are matrix qubit order: targets[0] is the operator's most
-    significant qubit.
-    """
-    vec, n = _check_state(state)
+def _operator(matrix: np.ndarray, targets: Sequence[int], n: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The operator as a complex matrix and its targets as a tuple, after
+    checking that they fit together and fit n qubits."""
     m = np.asarray(matrix, dtype=complex)
     targets = tuple(targets)
     k = len(targets)
@@ -127,9 +123,59 @@ def apply(matrix: np.ndarray, state: np.ndarray, targets: Sequence[int]) -> np.n
         raise DimensionMismatch(f"duplicate target in {targets}")
     if any(not 0 <= t < n for t in targets):
         raise DimensionMismatch(f"targets {targets} out of range for {n} qubit(s)")
-    order = [*targets, *(q for q in range(n) if q not in targets)]
-    out = m @ vec.reshape((2,) * n).transpose(order).reshape(1 << k, -1)
-    return out.reshape((2,) * n).transpose(np.argsort(order)).reshape(-1)
+    return m, targets
+
+
+# Rows per block of the stack kernels. A block's temporaries stay small
+# (256 KiB at 10 qubits), so the freed ones, which the allocator keeps
+# resident, add little beside the two stacks a MEASURE holds.
+_BLOCK = 16
+
+
+def _apply_rows(m: np.ndarray, stack: np.ndarray, n: int, targets: tuple[int, ...], out: np.ndarray) -> None:
+    """Write m applied to the target qubits of every row of a (rows, 2^n)
+    stack into out, which may be the stack itself.
+
+    Each run of non-target qubits is one axis. The target axes go first and
+    the row axis next, so one product serves a block of rows, and each row
+    gets the columns a one-row stack would give it, in the same order.
+    """
+    k = len(targets)
+    # A (rows, *shape) view has the row axis 0, then one axis per target
+    # qubit and one per run of other qubits, in qubit order.
+    shape, axis, start = [], {}, 0
+    for t in sorted(targets):
+        if t > start:
+            shape.append(1 << (t - start))
+        shape.append(2)
+        axis[t] = len(shape)
+        start = t + 1
+    if n > start:
+        shape.append(1 << (n - start))
+    runs = [a for a in range(1, len(shape) + 1) if a not in axis.values()]
+    order = [*(axis[t] for t in targets), 0, *runs]
+    back = sorted(range(len(order)), key=order.__getitem__)
+    # With at most one qubit left over, BLAS takes another inner loop for a
+    # product over several rows than for one row, and the last bits differ.
+    step = _BLOCK if n - k >= 2 else 1
+    for a in range(0, len(stack), step):
+        block = stack[a : a + step]
+        x = block.reshape(len(block), *shape).transpose(order)
+        y = (m @ x.reshape(1 << k, -1)).reshape(x.shape)
+        out[a : a + step].reshape(len(block), *shape)[...] = y.transpose(back)
+
+
+def apply(matrix: np.ndarray, state: np.ndarray, targets: Sequence[int]) -> np.ndarray:
+    """Apply a k-qubit operator to the given target qubits of a state vector.
+
+    Targets are matrix qubit order: targets[0] is the operator's most
+    significant qubit.
+    """
+    vec, n = _check_state(state)
+    m, targets = _operator(matrix, targets, n)
+    out = np.empty((1, vec.size), dtype=complex)
+    _apply_rows(m, vec[None], n, targets, out)
+    return out.reshape(-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,6 +188,53 @@ class MeasurementOutcome:
     post_state: np.ndarray
 
 
+def _bit_masks(n: int, qubit: int) -> np.ndarray:
+    """A (2, 2^n) array: row v is true where the qubit reads v."""
+    if not 0 <= qubit < n:
+        raise LineOutOfRange(f"qubit {qubit} out of range for {n} qubit(s)")
+    bit = (np.arange(1 << n) >> (n - 1 - qubit)) & 1
+    return np.array([bit == 0, bit == 1])
+
+
+def _weights(stack: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's squared norm, and its weights on the two masks, as a
+    (rows,) and a (2, rows) array."""
+    totals = np.empty(len(stack))
+    weights = np.empty((2, len(stack)))
+    with np.errstate(over="ignore"):  # an overflow is reported by _outcomes
+        for a in range(0, len(stack), _BLOCK):
+            squares = np.abs(stack[a : a + _BLOCK]) ** 2
+            totals[a : a + _BLOCK] = np.sum(squares, axis=1)
+            for value, keep in enumerate(masks):
+                weights[value, a : a + _BLOCK] = np.sum(np.where(keep, squares, 0), axis=1)
+    return totals, weights
+
+
+def _outcomes(total: float, weights: np.ndarray) -> list[MeasurementOutcome]:
+    """One row's outcomes above the floor, value 0 first, before their
+    post-measurement states are built (post_state is None)."""
+    if not math.isfinite(total):
+        raise ValueError(f"cannot measure a state of squared norm {total}")
+    if total < sys.float_info.min / PROB_FLOOR:
+        raise ZeroNorm("cannot measure a zero state vector")
+    probabilities = [(value, float(weight) / total) for value, weight in enumerate(weights)]
+    return [MeasurementOutcome(v, p, None) for v, p in probabilities if p > PROB_FLOOR]
+
+
+def _project(stack: np.ndarray, masks: np.ndarray, weights: np.ndarray, picks: list[tuple[int, int]]) -> np.ndarray:
+    """A new stack with one row per (row, value) pick: that row with the
+    amplitudes off the value's mask zeroed, divided by the root of its weight."""
+    rows = np.array([row for row, _ in picks], dtype=np.intp)
+    values = np.array([value for _, value in picks], dtype=np.intp)
+    scale = np.sqrt(weights[values, rows])
+    out = np.zeros((len(picks), stack.shape[1]), dtype=complex)
+    for a in range(0, len(picks), _BLOCK):
+        block = slice(a, a + _BLOCK)
+        np.copyto(out[block], stack[rows[block]], where=masks[values[block]])
+        out[block] /= scale[block, None]
+    return out
+
+
 def measure(state: np.ndarray, qubit: int) -> list[MeasurementOutcome]:
     """Measure one qubit in the computational basis.
 
@@ -150,25 +243,11 @@ def measure(state: np.ndarray, qubit: int) -> list[MeasurementOutcome]:
     too small for a kept outcome's weight to be a normal float (zero is).
     """
     vec, n = _check_state(state)
-    if not 0 <= qubit < n:
-        raise LineOutOfRange(f"qubit {qubit} out of range for {n} qubit(s)")
-    with np.errstate(over="ignore"):  # an overflow is reported just below
-        squares = np.abs(vec) ** 2
-        total = float(np.sum(squares))
-    if not math.isfinite(total):
-        raise ValueError(f"cannot measure a state of squared norm {total}")
-    if total < sys.float_info.min / PROB_FLOOR:
-        raise ZeroNorm("cannot measure a zero state vector")
-    bit = (np.arange(vec.size) >> (n - 1 - qubit)) & 1
-    outcomes = []
-    for value in (0, 1):
-        keep = bit == value
-        weight = float(np.sum(np.where(keep, squares, 0)))
-        probability = weight / total
-        if probability > PROB_FLOOR:
-            post = np.where(keep, vec, 0) / math.sqrt(weight)
-            outcomes.append(MeasurementOutcome(value, probability, post))
-    return outcomes
+    masks = _bit_masks(n, qubit)
+    totals, weights = _weights(vec[None], masks)
+    outcomes = _outcomes(float(totals[0]), weights[:, 0])
+    posts = _project(vec[None], masks, weights, [(0, o.basis_value) for o in outcomes])
+    return [replace(o, post_state=post) for o, post in zip(outcomes, posts)]
 
 
 @dataclass(frozen=True)
@@ -237,29 +316,34 @@ def program_qubits(ops: Sequence[Op], n_qubits: int | None = None) -> int:
 def _walk(ops: Sequence[Op], n_qubits: int | None, keep) -> list[Branch]:
     """Run from the all-zero state, applying each gate to every branch. At a
     MEASURE each branch continues once for every outcome that
-    `keep(path probability, outcomes)` returns, in the order returned."""
+    `keep(path probability, outcomes)` returns, in the order returned; the
+    outcomes it sees carry no post-measurement state yet.
+
+    The branch states are the rows of one (branches, 2^n) stack, so each op
+    runs once for all of them."""
     n = program_qubits(ops, n_qubits)
-    start = np.zeros(1 << n, dtype=complex)
-    start[0] = 1.0
-    branches = [Branch(1.0, (), start)]
+    stack = np.zeros((1, 1 << n), dtype=complex)
+    stack[0, 0] = 1.0
+    paths = [(1.0, ())]
     for op in ops:
         if op.name == "MEASURE":
             if op.theta is not None:
                 raise ValueError("MEASURE takes no angle")
             if len(op.qubits) != 1:
                 raise DimensionMismatch(f"MEASURE takes 1 qubit, got {op.qubits}")
-            branches = [
-                Branch(b.probability * o.probability, b.outcomes + (o.basis_value,), o.post_state)
-                for b in branches
-                for o in keep(b.probability, measure(b.state, op.qubits[0]))
-            ]
+            masks = _bit_masks(n, op.qubits[0])
+            totals, weights = _weights(stack, masks)
+            picks, kept = [], []
+            for row, (probability, outcomes) in enumerate(paths):
+                for o in keep(probability, _outcomes(float(totals[row]), weights[:, row])):
+                    picks.append((row, o.basis_value))
+                    kept.append((probability * o.probability, outcomes + (o.basis_value,)))
+            stack = _project(stack, masks, weights, picks)
+            paths = kept
         else:
-            m = gate_matrix(op.name, op.theta)
-            branches = [
-                Branch(b.probability, b.outcomes, apply(m, b.state, op.qubits))
-                for b in branches
-            ]
-    return branches
+            m, targets = _operator(gate_matrix(op.name, op.theta), op.qubits, n)
+            _apply_rows(m, stack, n, targets, stack)
+    return [Branch(p, outcomes, state) for (p, outcomes), state in zip(paths, stack)]
 
 
 def run_program(ops: Sequence[Op], n_qubits: int | None = None) -> list[Branch]:

@@ -13,6 +13,7 @@ character, so the string is the plain binary rendering of the word value.
 
 from __future__ import annotations
 
+import re
 import struct
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -314,6 +315,20 @@ def meaningful_lines(text: str) -> Iterator[str]:
     removed. Shared by every text format the toolkit reads."""
     stripped = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
     return (line for line in stripped if line)
+
+
+# A run of anything but the line breaks str.splitlines knows is one line's text.
+_LINE_TEXT = re.compile("[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]+")
+
+
+def first_meaningful_line(text: str) -> str | None:
+    """The first of meaningful_lines(text), or None, found without splitting
+    the rest of the text into lines."""
+    for match in _LINE_TEXT.finditer(text):
+        line = match.group().split("#", 1)[0].strip()
+        if line:
+            return line
+    return None
 
 
 def parse_int(token: str, line: str) -> int:

@@ -3,13 +3,14 @@ agrees with single-word simulation, undoes itself, and the embeddings and
 lifts built on whole-table arithmetic match their per-word definitions.
 Of the quantum layer: a sampled path is one of the enumerated branches and
 the path of an accumulating reference sampler, apply gives the bytes of a
-moveaxis reference, and measure does not depend on the state's scale.
+moveaxis reference, the stack kernel gives each row the bytes of a one-row
+apply, and measure does not depend on the state's scale.
 Of the ledger: every run meets its own bound, and every entry, bound and
 report equals that of a reference copy of the per-stage pricing. Of the
 table, netlist and parameter text formats: format then parse is the
-identity, and table parse agrees with a per-row BitWord reference on valid
-and mutated rows. Of the table predicates: conservative is reversible with
-every weight kept."""
+identity, table parse agrees with a per-row BitWord reference on valid
+and mutated rows, and the header scan finds the first meaningful line. Of
+the table predicates: conservative is reversible with every weight kept."""
 
 import json
 import math
@@ -45,6 +46,7 @@ from revlab import (
     format_circuit,
     format_params,
     format_table,
+    gate_matrix,
     invert_circuit,
     is_conservative,
     is_reversible,
@@ -67,8 +69,8 @@ from revlab import (
     wire_dissipation_per_cycle,
 )
 from revlab.circuits import _apply_kind, _load_word
-from revlab.quantum import PROB_FLOOR, _walk
-from revlab.tables import meaningful_lines
+from revlab.quantum import PROB_FLOOR, _apply_rows, _walk
+from revlab.tables import first_meaningful_line, meaningful_lines
 
 
 def gates(width):
@@ -291,6 +293,46 @@ def test_apply_gives_the_bytes_of_the_moveaxis_form(case):
 
 
 @st.composite
+def stack_cases(draw):
+    """A random (rows, 2^n) stack of 1-40 rows of 1-10 qubits, some
+    amplitude parts zero or negative zero, a random complex k-qubit matrix
+    with k in 1-2, and k distinct targets in any order."""
+    n = draw(st.integers(1, 10))
+    k = draw(st.integers(1, min(2, n)))
+    targets = tuple(draw(st.permutations(range(n)))[:k])
+    rows = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = rng.normal(size=(rows, 1 << n)) + 1j * rng.normal(size=(rows, 1 << n))
+    stack.real[rng.random(stack.shape) < 0.1] = 0.0
+    stack.imag[rng.random(stack.shape) < 0.1] = -0.0
+    matrix = rng.normal(size=(1 << k, 1 << k)) + 1j * rng.normal(size=(1 << k, 1 << k))
+    return matrix, stack, n, targets
+
+
+def spiral(rows, n):
+    """A fixed (rows, 2^n) stack of distinct amplitudes, for pinned examples."""
+    i = np.arange(rows << n).reshape(rows, 1 << n)
+    return np.exp(1j * i) * np.sqrt(i + 1)
+
+
+@given(stack_cases())
+# shapes with at most one qubit left over, where a product over several rows
+# differs from one row by row in the last bits
+@example((gate_matrix("RX", 0.7), spiral(5, 1), 1, (0,)))
+@example((gate_matrix("RX", 0.7), spiral(5, 2), 2, (1,)))
+@example((gate_matrix("IZZ", 1.3), spiral(5, 3), 3, (2, 0)))
+def test_the_stack_kernel_gives_each_row_the_bytes_of_apply(case):
+    matrix, stack, n, targets = case
+    out = stack.copy()
+    _apply_rows(matrix, out, n, targets, out)
+    expected = np.array([apply(matrix, row, targets) for row in stack])
+    for part in ("real", "imag"):
+        got, want = getattr(out, part), getattr(expected, part)
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@st.composite
 def profiles(draw):
     return SystemProfile(
         environment=draw(st.sampled_from(Environment)),
@@ -489,6 +531,20 @@ def weight_preserving_tables(draw, max_width=6):
 def test_conservative_is_reversible_with_every_weight_kept(table):
     kept = all(x.bit_count() == y.bit_count() for x, y in enumerate(table.rows))
     assert is_conservative(table) == (is_reversible(table) and kept)
+
+
+# every line break str.splitlines knows, and pieces of what a line can hold
+_LEXER_PIECES = st.sampled_from([
+    "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
+    "#", " ", "\t", "\xa0", "a", "1", "table 2 2", "->",
+])
+
+
+@given(st.lists(_LEXER_PIECES | st.characters(), max_size=24).map("".join))
+@example("# c\r\n\x0c\n  \x85 lines 3 # x\nH 0")
+@example("\u2028\u2029#\x1ctable")
+def test_the_header_scan_finds_the_first_meaningful_line(text):
+    assert first_meaningful_line(text) == next(meaningful_lines(text), None)
 
 
 def reference_parse_table(text):

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -365,3 +366,19 @@ def test_sample_path_matches_a_branch():
         match = branches[picked.outcomes]
         assert picked.probability == pytest.approx(match.probability)
         assert np.allclose(picked.state, match.state)
+
+
+def test_run_program_holds_about_one_stack_before_and_one_after_a_measure():
+    # 1024 equal branches at the end: at the last MEASURE the 512-row stack
+    # and the 1024-row stack it splits into are both alive, 1.5 final stacks.
+    # Gathering the kept rows in one piece, or a stack kept alive beside its
+    # successor, takes the peak past 2.5.
+    ops = [Op("H", (q,)) for q in range(10)] + [Op("MEASURE", (q,)) for q in range(10)]
+    tracemalloc.start()
+    try:
+        branches = run_program(ops, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(branches) == 1024
+    assert peak <= 1.75 * 1024 * (1 << 10) * np.dtype(complex).itemsize
