@@ -132,9 +132,9 @@ def _operator(matrix: np.ndarray, targets: Sequence[int], n: int) -> tuple[np.nd
 _BLOCK = 16
 
 
-def _apply_rows(m: np.ndarray, stack: np.ndarray, n: int, targets: tuple[int, ...], out: np.ndarray) -> None:
-    """Write m applied to the target qubits of every row of a (rows, 2^n)
-    stack into out, which may be the stack itself.
+def _apply_rows(m: np.ndarray, stack: np.ndarray, n: int, targets: tuple[int, ...]) -> None:
+    """Apply m to the target qubits of every row of a (rows, 2^n) stack, in
+    place.
 
     Each run of non-target qubits is one axis. The target axes go first and
     the row axis next, so one product serves a block of rows, and each row
@@ -162,7 +162,7 @@ def _apply_rows(m: np.ndarray, stack: np.ndarray, n: int, targets: tuple[int, ..
         block = stack[a : a + step]
         x = block.reshape(len(block), *shape).transpose(order)
         y = (m @ x.reshape(1 << k, -1)).reshape(x.shape)
-        out[a : a + step].reshape(len(block), *shape)[...] = y.transpose(back)
+        block.reshape(len(block), *shape)[...] = y.transpose(back)
 
 
 def apply(matrix: np.ndarray, state: np.ndarray, targets: Sequence[int]) -> np.ndarray:
@@ -173,8 +173,8 @@ def apply(matrix: np.ndarray, state: np.ndarray, targets: Sequence[int]) -> np.n
     """
     vec, n = _check_state(state)
     m, targets = _operator(matrix, targets, n)
-    out = np.empty((1, vec.size), dtype=complex)
-    _apply_rows(m, vec[None], n, targets, out)
+    out = vec.reshape(1, -1).copy()
+    _apply_rows(m, out, n, targets)
     return out.reshape(-1)
 
 
@@ -342,7 +342,7 @@ def _walk(ops: Sequence[Op], n_qubits: int | None, keep) -> list[Branch]:
             paths = kept
         else:
             m, targets = _operator(gate_matrix(op.name, op.theta), op.qubits, n)
-            _apply_rows(m, stack, n, targets, stack)
+            _apply_rows(m, stack, n, targets)
     return [Branch(p, outcomes, state) for (p, outcomes), state in zip(paths, stack)]
 
 

@@ -324,7 +324,7 @@ def spiral(rows, n):
 def test_the_stack_kernel_gives_each_row_the_bytes_of_apply(case):
     matrix, stack, n, targets = case
     out = stack.copy()
-    _apply_rows(matrix, out, n, targets, out)
+    _apply_rows(matrix, out, n, targets)
     expected = np.array([apply(matrix, row, targets) for row in stack])
     for part in ("real", "imag"):
         got, want = getattr(out, part), getattr(expected, part)
