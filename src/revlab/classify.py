@@ -129,7 +129,7 @@ class LedgerEntry:
     def __post_init__(self) -> None:
         if isinstance(self.bits, bool) or not isinstance(self.bits, int) or self.bits < 0:
             raise ValueError(f"{self.stage.value} bits must be a non-negative int, got {self.bits!r}")
-        if not math.isfinite(self.joules) or self.joules < 0:
+        if isinstance(self.joules, bool) or not isinstance(self.joules, numbers.Real) or not math.isfinite(self.joules) or self.joules < 0:
             raise ValueError(f"{self.stage.value} joules must be finite and non-negative, got {self.joules!r}")
 
 

@@ -31,14 +31,14 @@ from .classify import (
 from .energy import EnergyParams, parse_params
 from .errors import ParseError, RevlabError
 from .quantum import Branch, parse_program, program_qubits, run_program, sample_program
-from .tables import BitWord, TruthTable, bit_string, first_meaningful_line, format_table, invert, is_conservative, is_reversible, parse_table
+from .tables import BitWord, TruthTable, bit_string, format_table, invert, is_conservative, is_reversible, meaningful_lines, parse_table
 
 _EPILOG = "Bit strings are most-significant line first: line 0 is the leftmost character."
 
 
 def _load_any(path: str) -> TruthTable | Circuit:
     text = Path(path).read_text()
-    first = first_meaningful_line(text)
+    first = next(meaningful_lines(text), None)
     if first is None:
         raise ParseError(f"{path}: no content")
     head = first.split()[0]

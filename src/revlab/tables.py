@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 import struct
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import NotReversible, ParseError, WidthMismatch
 
@@ -173,12 +173,20 @@ def parse_table(text: str) -> TruthTable:
     rewritten into that layout by a line loop, which raises the first fault
     in line order.
     """
-    layout = _fixed_layout(text)
-    rows = None if layout is None else _decode_rows(*layout)
+    lines = meaningful_lines(text)
+    header = next(lines, None)
+    if header is None:
+        raise ParseError("empty table file")
+    head = header.split()
+    if len(head) != 3 or head[0] != "table":
+        raise ParseError(f"expected 'table <in_width> <out_width>', got {header!r}")
+    in_width, out_width = parse_int(head[1], header), parse_int(head[2], header)
+    if not 0 <= in_width <= MAX_WIDTH or not 0 <= out_width <= MAX_WIDTH:
+        raise ParseError(f"table widths must be in 0..{MAX_WIDTH} in {header!r}")
+    bare = f"table {in_width} {out_width}\n"
+    rows = _decode_rows(in_width, out_width, text[len(bare) :]) if text.startswith(bare) else None
     if rows is None:
-        layout = _normalised(text)
-        rows = _decode_rows(*layout)
-    in_width, out_width, _ = layout
+        rows = _decode_rows(in_width, out_width, _normalised(in_width, out_width, lines))
     return TruthTable(in_width, out_width, tuple(rows))
 
 
@@ -198,7 +206,6 @@ def format_table(t: TruthTable) -> str:
 # out_width + 1 bytes per input word, so byte column j of the body is
 # body[j::line_length]. Values travel as two 8-bit lanes (low, high):
 # _BIT_VALUE[b] maps a digit to bit b of a lane byte, and _BIT_TEXT[b] back.
-_WIDTH_TOKENS = {str(width): width for width in range(MAX_WIDTH + 1)}
 _ONES_AS_ZEROS = bytes.maketrans(b"1", b"0")
 _BIT_VALUE = [bytes.maketrans(b"01", bytes([0, 1 << bit])) for bit in range(8)]
 
@@ -220,25 +227,14 @@ def _counting_columns(width: int) -> list[bytes]:
 _BIT_TEXT = _counting_columns(8)[::-1]
 
 
-def _fixed_layout(text: str) -> tuple[int, int, bytes] | None:
-    """(in_width, out_width, body) when text is a bare ``table <n> <m>``
-    line and an ASCII body of the fixed layout's length, else None."""
-    header, _, body = text.partition("\n")
-    fields = header.split(" ")
-    if len(fields) != 3 or fields[0] != "table":
-        return None
-    if fields[1] not in _WIDTH_TOKENS or fields[2] not in _WIDTH_TOKENS:
-        return None
-    in_width, out_width = _WIDTH_TOKENS[fields[1]], _WIDTH_TOKENS[fields[2]]
-    if not body.isascii() or len(body) != (in_width + out_width + 5) << in_width:
-        return None
-    return in_width, out_width, body.encode("ascii")
-
-
-def _decode_rows(in_width: int, out_width: int, body: bytes) -> Sequence[int] | None:
-    """The rows of a fixed-layout body, or None when a byte is out of place
-    or an input is listed twice."""
+def _decode_rows(in_width: int, out_width: int, text: str) -> Sequence[int] | None:
+    """The rows of a fixed-layout body, or None when the body is not ASCII,
+    has the wrong length, has a byte out of place or lists an input twice."""
     size, length = 1 << in_width, in_width + out_width + 5
+    if not text.isascii() or len(text) != length << in_width:
+        return None
+    body = text.encode("ascii")
+    del text  # free the str copy before the columns are decoded
     if body.translate(_ONES_AS_ZEROS) != _zero_row(in_width, out_width) * size:
         return None
     ys = _column_values(body, in_width + 4, out_width, length)
@@ -276,21 +272,10 @@ def _digit_columns(values: Sequence[int], width: int) -> list[bytes]:
     return [lanes[bit >> 3].translate(_BIT_TEXT[bit & 7]) for bit in reversed(range(width))]
 
 
-def _normalised(text: str) -> tuple[int, int, bytes]:
-    """Any table text rewritten into the fixed layout, one line at a time:
-    comments, blank lines, spacing and row order do not matter. Raises the
-    first fault in line order."""
-    lines = meaningful_lines(text)
-    header = next(lines, None)
-    if header is None:
-        raise ParseError("empty table file")
-    head = header.split()
-    if len(head) != 3 or head[0] != "table":
-        raise ParseError(f"expected 'table <in_width> <out_width>', got {header!r}")
-    in_width, out_width = parse_int(head[1], header), parse_int(head[2], header)
-    if not 0 <= in_width <= MAX_WIDTH or not 0 <= out_width <= MAX_WIDTH:
-        raise ParseError(f"table widths must be in 0..{MAX_WIDTH} in {header!r}")
-
+def _normalised(in_width: int, out_width: int, lines: Iterator[str]) -> str:
+    """The row lines of a table rewritten into the fixed layout, one line at
+    a time: spacing and row order do not matter. Raises the first fault in
+    line order."""
     seen: set[str] = set()
     body = []
     for line in lines:
@@ -307,28 +292,27 @@ def _normalised(text: str) -> tuple[int, int, bytes]:
     missing = (1 << in_width) - len(seen)
     if missing:
         raise ParseError(f"{missing} input word(s) unlisted")
-    return in_width, out_width, "".join(body).encode("ascii")
+    return "".join(body)
 
 
 def meaningful_lines(text: str) -> Iterator[str]:
     """The non-blank lines of an input file, stripped, with '#' comments
-    removed. Shared by every text format the toolkit reads."""
-    stripped = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
-    return (line for line in stripped if line)
+    removed, for every text format the toolkit reads. The text past the
+    first is split into lines only when the caller reads on."""
+    for match in _LINE_TEXT.finditer(text):
+        for line in _uncommented([match.group()]):
+            yield line
+            yield from _uncommented(text[match.end() :].splitlines())
+            return
 
 
 # A run of anything but the line breaks str.splitlines knows is one line's text.
 _LINE_TEXT = re.compile("[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]+")
 
 
-def first_meaningful_line(text: str) -> str | None:
-    """The first of meaningful_lines(text), or None, found without splitting
-    the rest of the text into lines."""
-    for match in _LINE_TEXT.finditer(text):
-        line = match.group().split("#", 1)[0].strip()
-        if line:
-            return line
-    return None
+def _uncommented(raws: Iterable[str]) -> Iterator[str]:
+    """The raw lines that hold more than blanks and a '#' comment, stripped."""
+    return filter(None, (raw.split("#", 1)[0].strip() for raw in raws))
 
 
 def parse_int(token: str, line: str) -> int:

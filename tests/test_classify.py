@@ -120,6 +120,8 @@ def test_a_profile_checks_the_type_of_each_flag_and_number(field, value):
         (SystemProfile, {"reconfiguration_units": False}, "reconfiguration_units"),
         (EnergyParams, {"T": True}, "T"),
         (EnergyParams, {"T": "300"}, "T"),  # compared, it would raise TypeError
+        (LedgerEntry, {"stage": Stage.COMPUTE, "bits": 0, "joules": True}, "COMPUTE joules"),
+        (LedgerEntry, {"stage": Stage.COMPUTE, "bits": 0, "joules": "1"}, "COMPUTE joules"),
     ],
 )
 def test_a_record_rejects_a_bool_or_a_string_where_a_number_goes(record, values, field):

@@ -9,8 +9,9 @@ Of the ledger: every run meets its own bound, and every entry, bound and
 report equals that of a reference copy of the per-stage pricing. Of the
 table, netlist and parameter text formats: format then parse is the
 identity, table parse agrees with a per-row BitWord reference on valid
-and mutated rows, and the header scan finds the first meaningful line. Of
-the table predicates: conservative is reversible with every weight kept."""
+and mutated rows, and the lexer finds the lines of a splitlines
+reference. Of the table predicates: conservative is reversible with every
+weight kept."""
 
 import json
 import math
@@ -70,7 +71,7 @@ from revlab import (
 )
 from revlab.circuits import _apply_kind, _load_word
 from revlab.quantum import PROB_FLOOR, _apply_rows, _walk
-from revlab.tables import first_meaningful_line, meaningful_lines
+from revlab.tables import meaningful_lines
 
 
 def gates(width):
@@ -543,8 +544,19 @@ _LEXER_PIECES = st.sampled_from([
 @given(st.lists(_LEXER_PIECES | st.characters(), max_size=24).map("".join))
 @example("# c\r\n\x0c\n  \x85 lines 3 # x\nH 0")
 @example("\u2028\u2029#\x1ctable")
-def test_the_header_scan_finds_the_first_meaningful_line(text):
-    assert first_meaningful_line(text) == next(meaningful_lines(text), None)
+@example("#\nA#\rB#\r\nC#\x0bD#\x0cE#\x1cF#\x1dG#\x1eH#\x85I#\u2028J#\u2029K")
+def test_meaningful_lines_are_those_of_a_splitlines_reference(text):
+    # every suffix too: in the last example, each break then follows the
+    # comment that comes before a text's first meaningful line
+    for start in range(len(text) + 1):
+        assert list(meaningful_lines(text[start:])) == reference_meaningful_lines(text[start:])
+
+
+def reference_meaningful_lines(text):
+    """The meaningful lines of a text, found by splitting all of it into
+    lines at once."""
+    stripped = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+    return [line for line in stripped if line]
 
 
 def reference_parse_table(text):
@@ -557,7 +569,7 @@ def reference_parse_table(text):
             raise ParseError(f"bad bit string {bits!r}")
         return BitWord(len(bits), int(bits, 2) if bits else 0)
 
-    lines = meaningful_lines(text)
+    lines = iter(reference_meaningful_lines(text))
     _, in_width, out_width = next(lines).split()
     in_width, out_width = int(in_width), int(out_width)
     rows = {}

@@ -18,6 +18,7 @@ from revlab import (
     parse_circuit,
     parse_program,
     parse_table,
+    tables,
 )
 
 # the four canonical two-bit examples: a controlled flip, a lossy overwrite,
@@ -214,6 +215,23 @@ def test_format_table_writes_what_a_per_row_formatter_writes(in_width):
     rows = tuple(rng.randrange(1 << out_width) for _ in range(1 << in_width))
     table = TruthTable(in_width, out_width, rows)
     assert format_table(table) == reference_format_table(table)
+
+
+@pytest.mark.parametrize("in_width, out_width", [(0, 1), (1, 0), (7, 9), (8, 5), (9, 8), (16, 11)])
+def test_a_formatted_table_is_read_without_the_line_loop(monkeypatch, in_width, out_width):
+    rng = random.Random(in_width)
+    table = TruthTable(in_width, out_width, tuple(rng.randrange(1 << out_width) for _ in range(1 << in_width)))
+    text = format_table(table)
+
+    def line_loop(*args):
+        raise AssertionError("the line loop ran")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tables, "_normalised", line_loop)
+        assert parse_table(text) == table
+        with pytest.raises(AssertionError, match="the line loop ran"):
+            parse_table("# a comment\n" + text)
+    assert parse_table("# a comment\n" + text) == table
 
 
 def test_parse_table_text():
