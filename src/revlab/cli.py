@@ -286,6 +286,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_SCALARS = (str, int, float, bool, type(None))
+
+
+def _json(value: object, indent: str = "\n") -> str:
+    """Return exactly `json.dumps(value, indent=2)`, nested at `indent`.
+
+    On Python 3.10-3.12 any `indent` sends `json.dumps` to its pure-Python
+    encoder. So a list of plain scalars, such as a 65 536-row table, goes to
+    the C encoder with the indented item separator, and a dict with str keys
+    is written key by key. Anything else is indented by `json.dumps` and
+    shifted right, which is exact because, with `ensure_ascii`, every literal
+    newline in its output starts an indentation.
+    """
+    inner = indent + "  "
+    if type(value) is dict and value and all(type(key) is str for key in value):
+        items = (f"{json.dumps(key)}: {_json(item, inner)}" for key, item in value.items())
+        return "{" + inner + f",{inner}".join(items) + indent + "}"
+    if type(value) in (list, tuple) and value and all(type(item) in _SCALARS for item in value):
+        return "[" + inner + json.dumps(value, separators=(f",{inner}", ": "))[1:-1] + indent + "]"
+    return json.dumps(value, indent=2).replace("\n", indent)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -299,7 +321,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if isinstance(report, str):
         sys.stdout.write(report)
     else:
-        print(json.dumps(report, indent=2))
+        print(_json(report))
     return code
 
 

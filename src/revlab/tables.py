@@ -194,12 +194,14 @@ def format_table(t: TruthTable) -> str:
     """Render a table in the text format accepted by parse_table."""
     n, m = t.in_width, t.out_width
     size, length = 1 << n, n + m + 5
-    body = bytearray(_zero_row(n, m) * size)
+    # the header shares the row buffer, so one decode makes the text
+    text = bytearray(f"table {n} {m}\n".encode()) + bytearray(_zero_row(n, m)) * size
+    first = len(text) - size * length
     for j, column in enumerate(_counting_columns(n)):
-        body[j::length] = column
+        text[first + j :: length] = column
     for j, column in enumerate(_digit_columns(t.rows, m)):
-        body[n + 4 + j :: length] = column
-    return f"table {n} {m}\n" + body.decode("ascii")
+        text[first + n + 4 + j :: length] = column
+    return text.decode("ascii")
 
 
 # The fixed layout: a bare header line, then one row line of in_width + 4 +
@@ -207,6 +209,7 @@ def format_table(t: TruthTable) -> str:
 # body[j::line_length]. Values travel as two 8-bit lanes (low, high):
 # _BIT_VALUE[b] maps a digit to bit b of a lane byte, and _BIT_TEXT[b] back.
 _ONES_AS_ZEROS = bytes.maketrans(b"1", b"0")
+_CHECK_ROWS = 4096
 _BIT_VALUE = [bytes.maketrans(b"01", bytes([0, 1 << bit])) for bit in range(8)]
 
 
@@ -235,7 +238,11 @@ def _decode_rows(in_width: int, out_width: int, text: str) -> Sequence[int] | No
         return None
     body = text.encode("ascii")
     del text  # free the str copy before the columns are decoded
-    if body.translate(_ONES_AS_ZEROS) != _zero_row(in_width, out_width) * size:
+    # checked a block of rows at a time, so no copy of the whole body is made;
+    # size and _CHECK_ROWS are powers of two, so the blocks tile the body
+    zeros = _zero_row(in_width, out_width) * min(size, _CHECK_ROWS)
+    step = len(zeros)
+    if any(body[at : at + step].translate(_ONES_AS_ZEROS) != zeros for at in range(0, len(body), step)):
         return None
     ys = _column_values(body, in_width + 4, out_width, length)
     if all(body[j::length] == column for j, column in enumerate(_counting_columns(in_width))):

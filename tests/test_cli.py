@@ -12,7 +12,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from revlab import BitWord, parse_circuit, parse_table, sci6, simulate
+from revlab import (
+    BitWord,
+    TruthTable,
+    dual_rail_embed,
+    format_table,
+    parse_circuit,
+    parse_program,
+    parse_table,
+    run_program,
+    sci6,
+    simulate,
+)
 from revlab.cli import _build_parser, main
 
 CONTROLLED_FLIP_TABLE = """table 2 2
@@ -197,6 +208,19 @@ def test_dualrail_output_is_conservative_on_codewords(files, capsys):
         assert bin(embedded(codeword)).count("1") == 2
 
 
+def test_dualrail_json_prints_the_bytes_of_indented_json_dumps(files, capsys):
+    # an 8-bit base embeds to 65 536 rows, the size the row-list case is for
+    rng = random.Random(8)
+    rows = list(range(256))
+    rng.shuffle(rows)
+    base = TruthTable(8, 8, tuple(rows))
+    path = files("perm8.tbl", format_table(base))
+    embedded = dual_rail_embed(base)
+    expected = {"rail_width": 8, "in_width": 16, "out_width": 16, "rows": embedded.rows}
+    code, out, _ = run_cli(capsys, "dualrail", path, "--format", "json")
+    assert (code, out) == (0, json.dumps(expected, indent=2) + "\n")
+
+
 def test_dualrail_rejects_lossy_base(files, capsys):
     path = files("lossy.tbl", LOSSY_TABLE)
     code, _, err = run_cli(capsys, "dualrail", path)
@@ -308,6 +332,23 @@ def test_quantum_json_schema(files, capsys):
     assert payload["measurement"]["bits"] == 1
     probabilities = [b["probability"] for b in payload["branches"]]
     assert probabilities == pytest.approx([0.5, 0.5])
+
+
+def test_quantum_json_prints_the_bytes_of_indented_json_dumps(capsys):
+    path = GOLDEN / "bell.q"
+    (branch,) = run_program(parse_program(path.read_text()))
+    amplitudes = [
+        {"basis": f"{i:02b}", "re": float(amp.real), "im": float(amp.imag)}
+        for i, amp in enumerate(branch.state)
+        if abs(amp) > 1e-9
+    ]
+    expected = {
+        "qubits": 2,
+        "branches": [{"probability": branch.probability, "outcomes": [], "amplitudes": amplitudes}],
+        "measurement": {"bits": 0, "joules": 0.0},
+    }
+    code, out, _ = run_cli(capsys, "quantum", str(path), "--format", "json")
+    assert (code, out) == (0, json.dumps(expected, indent=2) + "\n")
 
 
 def test_quantum_sample_is_seeded(files, capsys):

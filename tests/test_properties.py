@@ -11,12 +11,14 @@ table, netlist and parameter text formats: format then parse is the
 identity, table parse agrees with a per-row BitWord reference on valid
 and mutated rows, and the lexer finds the lines of a splitlines
 reference. Of the table predicates: conservative is reversible with every
-weight kept."""
+weight kept. Of the CLI's JSON writer: it prints the bytes of
+json.dumps(indent=2)."""
 
 import json
 import math
 import random
 from dataclasses import astuple, fields
+from enum import IntEnum
 
 import numpy as np
 import pytest
@@ -70,6 +72,7 @@ from revlab import (
     wire_dissipation_per_cycle,
 )
 from revlab.circuits import _apply_kind, _load_word
+from revlab.cli import _json
 from revlab.quantum import PROB_FLOOR, _apply_rows, _walk
 from revlab.tables import meaningful_lines
 
@@ -636,6 +639,8 @@ def fixed_layout_texts(draw):
 
 
 _IDENTITY_7 = format_table(TruthTable(7, 7, tuple(range(128))))
+# 8192 rows: two blocks of the body check
+_IDENTITY_13 = format_table(TruthTable.identity(13))
 
 
 @given(fixed_layout_texts())
@@ -643,6 +648,8 @@ _IDENTITY_7 = format_table(TruthTable(7, 7, tuple(range(128))))
 @example(_IDENTITY_7.replace("0000011 ->", "00\t0011 ->"))  # among the inputs
 @example(_IDENTITY_7.replace("0000011 ->", "00000111>"))  # a digit where a separator goes
 @example(_IDENTITY_7.replace("0000011 ->", "0000010 ->"))  # an input listed twice
+@example(_IDENTITY_13.replace("-> 1111111111111", "-> 11111111111x1"))  # in the last row
+@example(_IDENTITY_13.replace("-> 1000000000000", "-> 10000000\t0000"))  # in the second block's first row
 def test_parse_table_checks_a_formatted_body_like_a_per_row_parser(text):
     assert outcome(parse_table, text) == outcome(reference_parse_table, text)
 
@@ -684,3 +691,41 @@ def test_parse_table_agrees_with_a_per_row_bitword_parser(text):
         assert str(raised.value) == str(exc)
     else:
         assert parse_table(text) == expected
+
+
+class _Rank(IntEnum):
+    LOW = 0
+    HIGH = 1
+
+
+class _Joules(float):
+    pass
+
+
+# strings that hold the writer's own separators, escapes and non-ASCII text
+_JSON_TEXT = st.lists(
+    st.sampled_from([", ", '"', "\n", "\\", "[]", "{}", "é", "→"]) | st.characters(), max_size=4
+).map("".join)
+# plain scalars, and the int and float subclasses that only the stdlib case takes
+_JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats() | _JSON_TEXT
+    | st.sampled_from(_Rank) | st.floats().map(_Joules)
+)
+_JSON_KEYS = _JSON_TEXT | st.integers() | st.floats() | st.booleans() | st.none() | st.sampled_from(_Rank)
+
+
+def _json_containers(items):
+    return (
+        st.lists(items, max_size=6)
+        | st.lists(items, max_size=6).map(tuple)
+        | st.dictionaries(_JSON_TEXT, items, max_size=6)
+        | st.dictionaries(_JSON_KEYS, items, max_size=3)
+    )
+
+
+@given(st.recursive(_JSON_SCALARS, _json_containers, max_leaves=40))
+@example({"rail_width": 1, "rows": [3, 0], "measurement": {"bits": 0, "joules": 0.0}})  # dicts recurse
+@example([0, -1, 2.5, math.nan, -math.inf, True, None, 'a, b"', "\n[é]"])  # scalars in one C call
+@example([{"basis": "01", "re": -0.0}, [], {}, (), {1: _Rank.HIGH}, [_Joules(0.5)]])  # the stdlib's
+def test_the_json_writer_prints_the_bytes_of_indented_json_dumps(value):
+    assert _json(value) == json.dumps(value, indent=2)
