@@ -19,15 +19,14 @@ Line 0 is the most significant bit of every word.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
-import numpy as np
-
 from .errors import LineOutOfRange, NotReversible, ParseError, TooWide, WidthMismatch
-from .tables import MAX_WIDTH, BitWord, TruthTable, is_reversible, meaningful_lines, parse_int
+from .tables import MAX_WIDTH, BitWord, TruthTable, _column_values, is_reversible, meaningful_lines, parse_int
 
 
 class GateKind(Enum):
@@ -57,15 +56,16 @@ class Gate:
     lines: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lines", tuple(self.lines))
-        if len(self.lines) != self.kind.arity:
+        lines = tuple(self.lines)
+        object.__setattr__(self, "lines", lines)
+        if len(lines) != self.kind.arity:
             raise ValueError(
-                f"{self.kind.value} takes {self.kind.arity} line(s), got {len(self.lines)}"
+                f"{self.kind.value} takes {self.kind.arity} line(s), got {len(lines)}"
             )
-        if len(set(self.lines)) != len(self.lines):
-            raise ValueError(f"{self.kind.value} lines must be distinct: {self.lines}")
-        if any(line < 0 for line in self.lines):
-            raise ValueError(f"{self.kind.value} lines must be non-negative: {self.lines}")
+        if len(set(lines)) != len(lines):
+            raise ValueError(f"{self.kind.value} lines must be distinct: {lines}")
+        if min(lines) < 0:
+            raise ValueError(f"{self.kind.value} lines must be non-negative: {lines}")
 
 
 def NOT(t: int) -> Gate:
@@ -84,10 +84,8 @@ def FREDKIN(c: int, t1: int, t2: int) -> Gate:
     return Gate(GateKind.FREDKIN, (c, t1, t2))
 
 
-def _apply_kind(gate: Gate, w: int | np.ndarray, width: int) -> int | np.ndarray:
-    """Apply one gate to `w`: a Python int (one word of any width) or a
-    uint32 array (one word per row). No branch depends on the word, so the
-    same arithmetic serves a single simulation and a whole-table enumeration."""
+def _apply_kind(gate: Gate, w: int, width: int) -> int:
+    """Apply one gate to the width-bit word `w`."""
     pos = [width - 1 - line for line in gate.lines]
     kind = gate.kind
     if kind is GateKind.NOT:
@@ -164,11 +162,10 @@ class Circuit:
         return tuple(i for i in range(self.width) if i not in self.garbage)
 
 
-def _load_word(circuit: Circuit, free: int | np.ndarray) -> int | np.ndarray:
+def _load_word(circuit: Circuit, free: int) -> int:
     """Place free-input bits on the free lines and the ancilla constants on
-    theirs. `free` is an int or an array of free-input words; the result has
-    the same type, even when the circuit has no free lines."""
-    word = free & 0
+    theirs."""
+    word = 0
     for line, bit in circuit.ancillas.items():
         word |= bit << (circuit.width - 1 - line)
     lines = circuit.free_lines
@@ -201,11 +198,34 @@ def to_truth_table(circuit: Circuit) -> TruthTable:
     constants, garbage lines retained in the output."""
     if circuit.width > MAX_WIDTH:
         raise TooWide(f"cannot enumerate {circuit.width} lines (cap {MAX_WIDTH})")
-    n = len(circuit.free_lines)
-    words = _load_word(circuit, np.arange(1 << n, dtype=np.uint32))
+    # one int per line, bit count-1-r holding the line's value on row r, so
+    # each gate is one or two big-int operations over every row at once
+    free = circuit.free_lines
+    count = 1 << len(free)
+    full = (1 << count) - 1
+    cols = [full if circuit.ancillas.get(line) else 0 for line in range(circuit.width)]
+    for bit, line in enumerate(reversed(free)):
+        # bit `bit` of the row index: 2**bit zeros, 2**bit ones, doubled out
+        col, period = (1 << (1 << bit)) - 1, 2 << bit
+        while period < count:
+            col |= col << period
+            period <<= 1
+        cols[line] = col
     for gate in circuit.gates:
-        words = _apply_kind(gate, words, circuit.width)
-    return TruthTable(n, circuit.width, tuple(words.tolist()))
+        kind, lines = gate.kind, gate.lines
+        if kind is GateKind.NOT:
+            cols[lines[0]] ^= full
+        elif kind is GateKind.CNOT:
+            cols[lines[1]] ^= cols[lines[0]]
+        elif kind is GateKind.TOFFOLI:
+            cols[lines[2]] ^= cols[lines[0]] & cols[lines[1]]
+        else:
+            c, a, b = lines
+            d = cols[c] & (cols[a] ^ cols[b])
+            cols[a] ^= d
+            cols[b] ^= d
+    digits = (format(col, f"0{count}b").encode("ascii") for col in cols)
+    return TruthTable(len(free), circuit.width, _column_values(digits, circuit.width, count))
 
 
 def invert_circuit(circuit: Circuit) -> Circuit:
@@ -263,9 +283,14 @@ def dual_rail_embed(f: TruthTable) -> TruthTable:
         raise TooWide(f"embedding needs {2 * n} lines (cap {MAX_WIDTH})")
     mask = (1 << n) - 1
     # word (x, y) maps to (f(x), ~f(~y)); rows run over x, then y
-    r = np.asarray(f.rows, dtype=np.uint32)
-    rows = np.bitwise_or.outer(r << n, mask ^ r[::-1])
-    return TruthTable(2 * n, 2 * n, tuple(rows.ravel().tolist()))
+    low = [mask ^ y for y in reversed(f.rows)]
+    if n < 8:
+        return TruthTable(2 * n, 2 * n, tuple(y << n | z for y in f.rows for z in low))
+    # at 16 bits each half is one byte lane of the little-endian rows
+    words = bytearray(2 << 16)
+    words[0::2] = bytes(low) * 256
+    words[1::2] = b"".join(bytes((y,)) * 256 for y in f.rows)
+    return TruthTable(16, 16, struct.unpack("<65536H", words))
 
 
 _MNEMONICS = {kind.value: kind for kind in GateKind}

@@ -68,8 +68,8 @@ def _yn(flag: bool) -> str:
 # that was asked for: the text bytes, or a structure main prints as JSON.
 def _cmd_check(args: argparse.Namespace) -> tuple[int, str | dict]:
     table = _as_table(_load_any(args.file))
-    reversible = is_reversible(table)
     conservative = is_conservative(table)
+    reversible = conservative or is_reversible(table)
     code = 0 if reversible else 1
     if args.format == "json":
         return code, {"reversible": reversible, "conservative": conservative}

@@ -136,10 +136,9 @@ def is_reversible(t: TruthTable) -> bool:
 
 
 def is_conservative(t: TruthTable) -> bool:
-    """True iff reversible and every row preserves Hamming weight."""
-    if not is_reversible(t):
-        return False
-    return all(x.bit_count() == y.bit_count() for x, y in enumerate(t.rows))
+    """True iff reversible and every row preserves Hamming weight. Weights
+    are checked first, so most tables are rejected before any set is built."""
+    return all(x.bit_count() == y.bit_count() for x, y in enumerate(t.rows)) and is_reversible(t)
 
 
 def invert(t: TruthTable) -> TruthTable:
@@ -244,10 +243,10 @@ def _decode_rows(in_width: int, out_width: int, text: str) -> Sequence[int] | No
     step = len(zeros)
     if any(body[at : at + step].translate(_ONES_AS_ZEROS) != zeros for at in range(0, len(body), step)):
         return None
-    ys = _column_values(body, in_width + 4, out_width, length)
+    ys = _column_values((body[in_width + 4 + j :: length] for j in range(out_width)), out_width, size)
     if all(body[j::length] == column for j, column in enumerate(_counting_columns(in_width))):
         return ys
-    xs = _column_values(body, 0, in_width, length)
+    xs = _column_values((body[j::length] for j in range(in_width)), in_width, size)
     if len(set(xs)) != size:
         return None
     rows = [0] * size
@@ -256,15 +255,14 @@ def _decode_rows(in_width: int, out_width: int, text: str) -> Sequence[int] | No
     return rows
 
 
-def _column_values(body: bytes, first: int, width: int, length: int) -> tuple[int, ...]:
-    """The values whose digits, most significant first, are the width byte
-    columns of a checked fixed-layout body from column first on."""
-    count = len(body) // length
+def _column_values(columns: Iterable[bytes], width: int, count: int) -> tuple[int, ...]:
+    """The count values of at most 16 bits whose digits are the given width
+    digit columns, most significant first; each column holds count '0' or
+    '1' bytes, one per value. Columns are read one at a time, so a generator
+    keeps only one in memory."""
     lanes = [0, 0]
-    for j in range(width):
-        bit = width - 1 - j
-        column = body[first + j :: length].translate(_BIT_VALUE[bit & 7])
-        lanes[bit >> 3] |= int.from_bytes(column, "little")
+    for bit, column in zip(reversed(range(width)), columns):
+        lanes[bit >> 3] |= int.from_bytes(column.translate(_BIT_VALUE[bit & 7]), "little")
     words = bytearray(2 * count)
     words[0::2] = lanes[0].to_bytes(count, "little")
     words[1::2] = lanes[1].to_bytes(count, "little")

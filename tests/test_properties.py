@@ -1,6 +1,7 @@
 """Generated-input properties of the circuit engine: the whole-table kernel
 agrees with single-word simulation, undoes itself, and the embeddings and
-lifts built on whole-table arithmetic match their per-word definitions.
+lifts built on whole-table arithmetic match their per-word definitions;
+the classical layer imports no numpy.
 Of the quantum layer: a sampled path is one of the enumerated branches and
 the path of an accumulating reference sampler, apply gives the bytes of a
 moveaxis reference, the stack kernel gives each row the bytes of a one-row
@@ -14,18 +15,25 @@ reference. Of the table predicates: conservative is reversible with every
 weight kept. Of the CLI's JSON writer: it prints the bytes of
 json.dumps(indent=2)."""
 
+import ast
 import json
 import math
 import random
 from dataclasses import astuple, fields
 from enum import IntEnum
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import revlab
 from revlab import (
+    CNOT,
+    FREDKIN,
+    NOT,
+    TOFFOLI,
     BitWord,
     BoundInput,
     Circuit,
@@ -128,11 +136,14 @@ EDGE_CIRCUITS = [
 ]
 
 
-def test_edge_circuits_load_arrays_and_tabulate():
+def test_edge_circuits_load_words_and_tabulate():
     for circuit in EDGE_CIRCUITS:
         n = len(circuit.free_lines)
-        loaded = _load_word(circuit, np.arange(1 << n, dtype=np.uint32))
-        assert isinstance(loaded, np.ndarray) and loaded.shape == (1 << n,)
+        loaded = [_load_word(circuit, x) for x in range(1 << n)]
+        assert all(type(w) is int and 0 <= w < 1 << circuit.width for w in loaded)
+        assert len(set(loaded)) == 1 << n
+        # with no gates the table's start columns are the loaded words
+        assert to_truth_table(Circuit(circuit.width, (), circuit.ancillas)).rows == tuple(loaded)
         table = to_truth_table(circuit)
         assert (table.in_width, table.out_width) == (n, circuit.width)
         assert table.rows == tuple(simulate(circuit, BitWord(n, x)).value for x in range(1 << n))
@@ -144,10 +155,26 @@ def test_edge_circuits_load_arrays_and_tabulate():
 @given(st.integers(1, 10).flatmap(lambda w: st.tuples(st.just(w), gates(w))))
 def test_each_gate_undoes_itself_on_every_word(case):
     width, gate = case
-    words = np.arange(1 << width, dtype=np.uint32)
-    once = _apply_kind(gate, words, width)
-    assert sorted(once.tolist()) == words.tolist()
-    assert np.array_equal(_apply_kind(gate, once, width), words)
+    words = list(range(1 << width))
+    once = [_apply_kind(gate, w, width) for w in words]
+    assert sorted(once) == words
+    assert [_apply_kind(gate, w, width) for w in once] == words
+    # the word kernel and the table's column kernel agree on every row
+    assert to_truth_table(Circuit(width, (gate,))).rows == tuple(once)
+
+
+def test_sixteen_line_table_rows_are_the_simulated_words():
+    # every gate kind, both ancilla constants and a garbage line, at the full
+    # 16-bit width, so both byte lanes of the column transposition carry bits
+    rng = random.Random(16)
+    picked = [Gate(kind, tuple(rng.sample(range(16), kind.arity))) for kind in GateKind for _ in range(12)]
+    rng.shuffle(picked)
+    fixed = (NOT(0), CNOT(3, 15), TOFFOLI(14, 2, 7), FREDKIN(5, 0, 15), FREDKIN(8, 3, 9))
+    circuit = Circuit(16, fixed + tuple(picked), {3: 1, 9: 0}, {12})
+    table = to_truth_table(circuit)
+    assert (table.in_width, table.out_width) == (14, 16)
+    for x in sorted({*range(0, 1 << 14, 257), (1 << 14) - 1}):
+        assert table.rows[x] == simulate(circuit, BitWord(14, x)).value
 
 
 @given(circuits())
@@ -179,6 +206,23 @@ def test_dual_rail_matches_per_word_formula(f):
     n = f.in_width
     for x in range(1 << n):
         assert embedded.rows[dual_rail_codeword(x, n)].bit_count() == n
+
+
+@pytest.mark.parametrize("n", [0, 8])
+def test_dual_rail_matches_per_word_formula_at_the_byte_lane_edges(n):
+    # 8 bits is the only width that fills both byte lanes of 16-bit rows
+    f = TruthTable(n, n, tuple(random.Random(n).sample(range(1 << n), 1 << n)))
+    embedded = dual_rail_embed(f)
+    assert embedded.rows == dual_rail_reference(f)
+    assert all(type(r) is int for r in embedded.rows)
+
+
+def test_classical_layer_imports_no_numpy():
+    for name in ("circuits.py", "tables.py"):
+        tree = ast.parse((Path(revlab.__file__).parent / name).read_text())
+        modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+        modules += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module]
+        assert not any(module.split(".")[0] == "numpy" for module in modules), name
 
 
 @given(bijections(max_width=6))
