@@ -26,7 +26,7 @@ from types import MappingProxyType
 from typing import Iterator, Mapping
 
 from .errors import LineOutOfRange, NotReversible, ParseError, TooWide, WidthMismatch
-from .tables import MAX_WIDTH, BitWord, TruthTable, _column_values, is_reversible, meaningful_lines, parse_int
+from .tables import MAX_WIDTH, BitWord, TruthTable, _column_values, _digit_columns, is_reversible, meaningful_lines, parse_int
 
 
 class GateKind(Enum):
@@ -84,22 +84,6 @@ def FREDKIN(c: int, t1: int, t2: int) -> Gate:
     return Gate(GateKind.FREDKIN, (c, t1, t2))
 
 
-def _apply_kind(gate: Gate, w: int, width: int) -> int:
-    """Apply one gate to the width-bit word `w`."""
-    pos = [width - 1 - line for line in gate.lines]
-    kind = gate.kind
-    if kind is GateKind.NOT:
-        return w ^ 1 << pos[0]
-    if kind is GateKind.CNOT:
-        return w ^ (w >> pos[0] & 1) << pos[1]
-    if kind is GateKind.TOFFOLI:
-        return w ^ (w >> pos[0] & w >> pos[1] & 1) << pos[2]
-    # FREDKIN: swap the two targets where the control is set and they differ
-    c, a, b = pos
-    d = w >> c & (w >> a ^ w >> b) & 1
-    return w ^ (d << a | d << b)
-
-
 def _check_width(gate: Gate, width: int) -> None:
     # Gate guarantees its lines are non-empty and non-negative
     if max(gate.lines) >= width:
@@ -108,8 +92,7 @@ def _check_width(gate: Gate, width: int) -> None:
 
 def apply_gate(gate: Gate, state: BitWord) -> BitWord:
     """Apply one gate to a full-width state word."""
-    _check_width(gate, state.width)
-    return BitWord(state.width, _apply_kind(gate, state.value, state.width))
+    return simulate(Circuit(state.width, (gate,)), state)
 
 
 @dataclass(frozen=True)
@@ -162,26 +145,50 @@ class Circuit:
         return tuple(i for i in range(self.width) if i not in self.garbage)
 
 
-def _load_word(circuit: Circuit, free: int) -> int:
-    """Place free-input bits on the free lines and the ancilla constants on
-    theirs."""
-    word = 0
-    for line, bit in circuit.ancillas.items():
-        word |= bit << (circuit.width - 1 - line)
-    lines = circuit.free_lines
-    for i, line in enumerate(lines):
-        word |= (free >> (len(lines) - 1 - i) & 1) << (circuit.width - 1 - line)
-    return word
+def _load_columns(circuit: Circuit, free_columns: list[int], full: int) -> list[int]:
+    """One int per line: each ancilla at 0 or `full`, and the free lines taking
+    the given columns in word order."""
+    cols = [full if circuit.ancillas.get(line) else 0 for line in range(circuit.width)]
+    for line, col in zip(circuit.free_lines, free_columns):
+        cols[line] = col
+    return cols
+
+
+def _run_gate(gate: Gate, cols: list[int], full: int) -> None:
+    """Apply one gate in place to the line columns; `full` is the column with
+    every row set."""
+    kind, lines = gate.kind, gate.lines
+    if kind is GateKind.NOT:
+        cols[lines[0]] ^= full
+    elif kind is GateKind.CNOT:
+        cols[lines[1]] ^= cols[lines[0]]
+    elif kind is GateKind.TOFFOLI:
+        cols[lines[2]] ^= cols[lines[0]] & cols[lines[1]]
+    else:
+        c, a, b = lines
+        d = cols[c] & (cols[a] ^ cols[b])
+        cols[a] ^= d
+        cols[b] ^= d
 
 
 def step_states(circuit: Circuit, inputs: BitWord) -> Iterator[BitWord]:
     """Yield the full state word after loading and after each gate."""
     circuit.check_inputs(inputs)
-    word = _load_word(circuit, inputs.value)
-    yield BitWord(circuit.width, word)
+    # one-bit columns: the word is packed once, and after each gate only the
+    # bits of that gate's own lines are rewritten, not the whole width
+    n, width = inputs.width, circuit.width
+    cols = _load_columns(circuit, [inputs.value >> (n - 1 - i) & 1 for i in range(n)], 1)
+    word = 0
+    for bit in cols:
+        word = word << 1 | bit
+    yield BitWord(width, word)
     for gate in circuit.gates:
-        word = _apply_kind(gate, word, circuit.width)
-        yield BitWord(circuit.width, word)
+        _run_gate(gate, cols, 1)
+        for line in gate.lines:
+            shift = width - 1 - line
+            if word >> shift & 1 != cols[line]:
+                word ^= 1 << shift
+        yield BitWord(width, word)
 
 
 def simulate(circuit: Circuit, inputs: BitWord) -> BitWord:
@@ -200,32 +207,22 @@ def to_truth_table(circuit: Circuit) -> TruthTable:
         raise TooWide(f"cannot enumerate {circuit.width} lines (cap {MAX_WIDTH})")
     # one int per line, bit count-1-r holding the line's value on row r, so
     # each gate is one or two big-int operations over every row at once
-    free = circuit.free_lines
-    count = 1 << len(free)
+    n = len(circuit.free_lines)
+    count = 1 << n
     full = (1 << count) - 1
-    cols = [full if circuit.ancillas.get(line) else 0 for line in range(circuit.width)]
-    for bit, line in enumerate(reversed(free)):
+    counting = []
+    for bit in reversed(range(n)):
         # bit `bit` of the row index: 2**bit zeros, 2**bit ones, doubled out
         col, period = (1 << (1 << bit)) - 1, 2 << bit
         while period < count:
             col |= col << period
             period <<= 1
-        cols[line] = col
+        counting.append(col)
+    cols = _load_columns(circuit, counting, full)
     for gate in circuit.gates:
-        kind, lines = gate.kind, gate.lines
-        if kind is GateKind.NOT:
-            cols[lines[0]] ^= full
-        elif kind is GateKind.CNOT:
-            cols[lines[1]] ^= cols[lines[0]]
-        elif kind is GateKind.TOFFOLI:
-            cols[lines[2]] ^= cols[lines[0]] & cols[lines[1]]
-        else:
-            c, a, b = lines
-            d = cols[c] & (cols[a] ^ cols[b])
-            cols[a] ^= d
-            cols[b] ^= d
+        _run_gate(gate, cols, full)
     digits = (format(col, f"0{count}b").encode("ascii") for col in cols)
-    return TruthTable(len(free), circuit.width, _column_values(digits, circuit.width, count))
+    return TruthTable(n, circuit.width, _column_values(digits, circuit.width, count))
 
 
 def invert_circuit(circuit: Circuit) -> Circuit:
@@ -245,18 +242,10 @@ def drop_garbage(t: TruthTable, positions: frozenset[int] | set[int]) -> tuple[T
         if not 0 <= p < t.out_width:
             raise LineOutOfRange(f"output position {p} exceeds width {t.out_width}")
     keep = [p for p in range(t.out_width) if p not in positions]
-    kept_width = len(keep)
-    shifts = [t.out_width - 1 - p for p in keep]
-
-    def project(y: int) -> int:
-        out = 0
-        for s in shifts:
-            out = out << 1 | (y >> s & 1)
-        return out
-
-    rows = tuple(project(y) for y in t.rows)
+    columns = _digit_columns(t.rows, t.out_width)
+    rows = _column_values([columns[p] for p in keep], len(keep), len(t.rows))
     lost = len(set(rows)) < len(set(t.rows))
-    return TruthTable(t.in_width, kept_width, rows), lost
+    return TruthTable(t.in_width, len(keep), rows), lost
 
 
 def dual_rail_codeword(x: int, n: int) -> int:

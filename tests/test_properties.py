@@ -1,7 +1,9 @@
 """Generated-input properties of the circuit engine: the whole-table kernel
-agrees with single-word simulation, undoes itself, and the embeddings and
-lifts built on whole-table arithmetic match their per-word definitions;
-the classical layer imports no numpy.
+agrees with single-word simulation, each gate undoes itself and matches a
+per-bit reference, wide simulations follow that reference after every gate,
+and the embeddings, garbage projections and lifts built on whole-table
+arithmetic match their per-word definitions; the classical layer imports no
+numpy.
 Of the quantum layer: a sampled path is one of the enumerated branches and
 the path of an accumulating reference sampler, apply gives the bytes of a
 moveaxis reference, the stack kernel gives each row the bytes of a one-row
@@ -51,7 +53,9 @@ from revlab import (
     SystemProfile,
     TruthTable,
     apply,
+    apply_gate,
     check_bound,
+    drop_garbage,
     dual_rail_codeword,
     dual_rail_embed,
     format_circuit,
@@ -79,7 +83,6 @@ from revlab import (
     to_truth_table,
     wire_dissipation_per_cycle,
 )
-from revlab.circuits import _apply_kind, _load_word
 from revlab.cli import _json
 from revlab.quantum import PROB_FLOOR, _apply_rows, _walk
 from revlab.tables import meaningful_lines
@@ -136,14 +139,17 @@ EDGE_CIRCUITS = [
 ]
 
 
-def test_edge_circuits_load_words_and_tabulate():
+def test_edge_circuits_load_every_word_and_tabulate():
     for circuit in EDGE_CIRCUITS:
         n = len(circuit.free_lines)
-        loaded = [_load_word(circuit, x) for x in range(1 << n)]
-        assert all(type(w) is int and 0 <= w < 1 << circuit.width for w in loaded)
-        assert len(set(loaded)) == 1 << n
+        gateless = Circuit(circuit.width, (), circuit.ancillas)
+        loaded = [simulate(gateless, BitWord(n, x)) for x in range(1 << n)]
+        for x, word in enumerate(loaded):
+            assert [word.bit(line) for line in circuit.ancillas] == list(circuit.ancillas.values())
+            assert [word.bit(line) for line in circuit.free_lines] == [BitWord(n, x).bit(i) for i in range(n)]
+        assert len({word.value for word in loaded}) == 1 << n
         # with no gates the table's start columns are the loaded words
-        assert to_truth_table(Circuit(circuit.width, (), circuit.ancillas)).rows == tuple(loaded)
+        assert to_truth_table(gateless).rows == tuple(word.value for word in loaded)
         table = to_truth_table(circuit)
         assert (table.in_width, table.out_width) == (n, circuit.width)
         assert table.rows == tuple(simulate(circuit, BitWord(n, x)).value for x in range(1 << n))
@@ -152,15 +158,71 @@ def test_edge_circuits_load_words_and_tabulate():
     assert to_truth_table(Circuit(3, (), {0: 1, 1: 0, 2: 1})).rows == (0b101,)
 
 
+def reference_gate(gate, word, width):
+    """One gate on a width-bit word, bit by bit from the definitions: flip the
+    target iff every control is set; FREDKIN swaps its two targets iff its
+    control is set."""
+    bits = [word >> (width - 1 - line) & 1 for line in range(width)]
+    if gate.kind is GateKind.FREDKIN:
+        c, a, b = gate.lines
+        if bits[c]:
+            bits[a], bits[b] = bits[b], bits[a]
+    else:
+        *controls, target = gate.lines
+        if all(bits[c] for c in controls):
+            bits[target] ^= 1
+    return sum(bit << (width - 1 - line) for line, bit in enumerate(bits))
+
+
 @given(st.integers(1, 10).flatmap(lambda w: st.tuples(st.just(w), gates(w))))
 def test_each_gate_undoes_itself_on_every_word(case):
     width, gate = case
     words = list(range(1 << width))
-    once = [_apply_kind(gate, w, width) for w in words]
+    once = [apply_gate(gate, BitWord(width, w)).value for w in words]
+    assert once == [reference_gate(gate, w, width) for w in words]
     assert sorted(once) == words
-    assert [_apply_kind(gate, w, width) for w in once] == words
-    # the word kernel and the table's column kernel agree on every row
+    assert [apply_gate(gate, BitWord(width, w)).value for w in once] == words
+    # the one-gate table runs the same gate on every row at once
     assert to_truth_table(Circuit(width, (gate,))).rows == tuple(once)
+
+
+@st.composite
+def wide_runs(draw):
+    # wider than any table, so the state word runs past 64 bits
+    width = draw(st.integers(17, 200))
+    lines = st.integers(0, width - 1)
+    kinds = st.sampled_from(list(GateKind))
+    gate_list = st.lists(
+        kinds.flatmap(
+            lambda k: st.lists(lines, min_size=k.arity, max_size=k.arity, unique=True).map(
+                lambda ls: Gate(k, tuple(ls))
+            )
+        ),
+        max_size=30,
+    )
+    circuit = Circuit(
+        width,
+        tuple(draw(gate_list)),
+        draw(st.dictionaries(lines, st.integers(0, 1), min_size=1, max_size=width)),
+    )
+    # seeded random bits: drawn words stay mostly zero, and a FREDKIN whose
+    # lines are all zero swaps nothing
+    n = len(circuit.free_lines)
+    return circuit, BitWord(n, draw(st.randoms(use_true_random=True)).getrandbits(n))
+
+
+@given(wide_runs())
+def test_wide_states_follow_the_per_bit_reference_after_every_gate(case):
+    circuit, inputs = case
+    free = iter(inputs.bit(i) for i in range(inputs.width))
+    bits = [circuit.ancillas[line] if line in circuit.ancillas else next(free) for line in range(circuit.width)]
+    expected = sum(bit << (circuit.width - 1 - line) for line, bit in enumerate(bits))
+    states = list(step_states(circuit, inputs))
+    assert len(states) == len(circuit.gates) + 1
+    assert states[0] == BitWord(circuit.width, expected)
+    for gate, state in zip(circuit.gates, states[1:]):
+        expected = reference_gate(gate, expected, circuit.width)
+        assert state == BitWord(circuit.width, expected)
 
 
 def test_sixteen_line_table_rows_are_the_simulated_words():
@@ -215,6 +277,27 @@ def test_dual_rail_matches_per_word_formula_at_the_byte_lane_edges(n):
     embedded = dual_rail_embed(f)
     assert embedded.rows == dual_rail_reference(f)
     assert all(type(r) is int for r in embedded.rows)
+
+
+def reference_drop_garbage(t, positions):
+    keep = [p for p in range(t.out_width) if p not in positions]
+    rows = tuple(
+        sum((y >> (t.out_width - 1 - p) & 1) << (len(keep) - 1 - i) for i, p in enumerate(keep)) for y in t.rows
+    )
+    return TruthTable(t.in_width, len(keep), rows), len(set(rows)) < len(set(t.rows))
+
+
+# position p is bit out_width-1-p, so at 9 bits only position 0 is in the high
+# byte lane, and at 16 bits positions 0-7 are
+@pytest.mark.parametrize(
+    "out_width, positions",
+    [(9, {0}), (9, {0, 5}), (9, {1, 8}), (9, set(range(9))), (16, {7, 8}), (16, {0, 3, 12, 15}), (16, set())],
+)
+def test_drop_garbage_matches_a_per_row_reference_across_byte_lanes(out_width, positions):
+    rng = random.Random(out_width)
+    for in_width in (4, 8):
+        table = TruthTable(in_width, out_width, tuple(rng.sample(range(1 << out_width), 1 << in_width)))
+        assert drop_garbage(table, positions) == reference_drop_garbage(table, positions)
 
 
 def test_classical_layer_imports_no_numpy():
