@@ -92,7 +92,9 @@ def _check_width(gate: Gate, width: int) -> None:
 
 def apply_gate(gate: Gate, state: BitWord) -> BitWord:
     """Apply one gate to a full-width state word."""
-    return simulate(Circuit(state.width, (gate,)), state)
+    _check_width(gate, state.width)
+    *_, final = _words(state.width, (gate,), {}, state)
+    return BitWord(state.width, final)
 
 
 @dataclass(frozen=True)
@@ -145,13 +147,11 @@ class Circuit:
         return tuple(i for i in range(self.width) if i not in self.garbage)
 
 
-def _load_columns(circuit: Circuit, free_columns: list[int], full: int) -> list[int]:
+def _load_columns(width: int, ancillas: Mapping[int, int], free_columns: list[int], full: int) -> list[int]:
     """One int per line: each ancilla at 0 or `full`, and the free lines taking
     the given columns in word order."""
-    cols = [full if circuit.ancillas.get(line) else 0 for line in range(circuit.width)]
-    for line, col in zip(circuit.free_lines, free_columns):
-        cols[line] = col
-    return cols
+    free = iter(free_columns)
+    return [(full if ancillas[line] else 0) if line in ancillas else next(free) for line in range(width)]
 
 
 def _run_gate(gate: Gate, cols: list[int], full: int) -> None:
@@ -171,24 +171,30 @@ def _run_gate(gate: Gate, cols: list[int], full: int) -> None:
         cols[b] ^= d
 
 
-def step_states(circuit: Circuit, inputs: BitWord) -> Iterator[BitWord]:
-    """Yield the full state word after loading and after each gate."""
-    circuit.check_inputs(inputs)
+def _words(width: int, gates: tuple[Gate, ...], ancillas: Mapping[int, int], inputs: BitWord) -> Iterator[int]:
+    """The full state word, as an int, after loading and after each gate."""
     # one-bit columns: the word is packed once, and after each gate only the
     # bits of that gate's own lines are rewritten, not the whole width
-    n, width = inputs.width, circuit.width
-    cols = _load_columns(circuit, [inputs.value >> (n - 1 - i) & 1 for i in range(n)], 1)
+    n = inputs.width
+    cols = _load_columns(width, ancillas, [inputs.value >> (n - 1 - i) & 1 for i in range(n)], 1)
     word = 0
     for bit in cols:
         word = word << 1 | bit
-    yield BitWord(width, word)
-    for gate in circuit.gates:
+    yield word
+    for gate in gates:
         _run_gate(gate, cols, 1)
         for line in gate.lines:
             shift = width - 1 - line
             if word >> shift & 1 != cols[line]:
                 word ^= 1 << shift
-        yield BitWord(width, word)
+        yield word
+
+
+def step_states(circuit: Circuit, inputs: BitWord) -> Iterator[BitWord]:
+    """Yield the full state word after loading and after each gate."""
+    circuit.check_inputs(inputs)
+    for word in _words(circuit.width, circuit.gates, circuit.ancillas, inputs):
+        yield BitWord(circuit.width, word)
 
 
 def simulate(circuit: Circuit, inputs: BitWord) -> BitWord:
@@ -196,18 +202,19 @@ def simulate(circuit: Circuit, inputs: BitWord) -> BitWord:
 
     Ancilla lines take their declared constants; garbage lines are retained.
     """
-    *_, final = step_states(circuit, inputs)
-    return final
+    circuit.check_inputs(inputs)
+    *_, final = _words(circuit.width, circuit.gates, circuit.ancillas, inputs)
+    return BitWord(circuit.width, final)
 
 
-def to_truth_table(circuit: Circuit) -> TruthTable:
-    """Exhaustive table over all free-input words, ancillas held at their
-    constants, garbage lines retained in the output."""
-    if circuit.width > MAX_WIDTH:
-        raise TooWide(f"cannot enumerate {circuit.width} lines (cap {MAX_WIDTH})")
+def _run_columns(width: int, gates: tuple[Gate, ...], ancillas: Mapping[int, int]) -> tuple[list[int], list[int]]:
+    """The counting columns of the free lines, and every line's column after
+    the gates, over all free-input words, ancillas held at their constants."""
+    if width > MAX_WIDTH:
+        raise TooWide(f"cannot enumerate {width} lines (cap {MAX_WIDTH})")
     # one int per line, bit count-1-r holding the line's value on row r, so
     # each gate is one or two big-int operations over every row at once
-    n = len(circuit.free_lines)
+    n = width - len(ancillas)
     count = 1 << n
     full = (1 << count) - 1
     counting = []
@@ -218,11 +225,47 @@ def to_truth_table(circuit: Circuit) -> TruthTable:
             col |= col << period
             period <<= 1
         counting.append(col)
-    cols = _load_columns(circuit, counting, full)
-    for gate in circuit.gates:
+    cols = _load_columns(width, ancillas, counting, full)
+    for gate in gates:
         _run_gate(gate, cols, full)
+    return counting, cols
+
+
+def to_truth_table(circuit: Circuit) -> TruthTable:
+    """Exhaustive table over all free-input words, ancillas held at their
+    constants, garbage lines retained in the output."""
+    counting, cols = _run_columns(circuit.width, circuit.gates, circuit.ancillas)
+    n, count = len(counting), 1 << len(counting)
     digits = (format(col, f"0{count}b").encode("ascii") for col in cols)
     return TruthTable(n, circuit.width, _column_values(digits, circuit.width, count))
+
+
+def _weight_planes(cols: list[int]) -> list[int]:
+    """Bit-sliced popcount of the columns: plane i holds bit i of every row's
+    count of set columns, and the top plane is the highest that count reaches."""
+    planes: list[int] = []
+    for carry in cols:
+        for i, plane in enumerate(planes):
+            if not carry:
+                break
+            planes[i], carry = plane ^ carry, plane & carry
+        if carry:
+            planes.append(carry)
+    return planes
+
+
+def _column_verdicts(width: int, gates: tuple[Gate, ...], ancilla: bool = False) -> tuple[bool, bool]:
+    """`is_reversible` and `is_conservative` of a netlist's table, decided on
+    its line columns without building the rows."""
+    # every gate is a bijection, so the gate list is one: only an ancilla,
+    # which leaves fewer input bits than output bits, makes the table not
+    # reversible, and then not conservative, so no gate need run
+    counting, cols = _run_columns(width, () if ancilla else gates, {})
+    if ancilla:
+        return False, False
+    # a row keeps its weight when its count of set input columns equals its
+    # count of set output columns
+    return True, _weight_planes(counting) == _weight_planes(cols)
 
 
 def invert_circuit(circuit: Circuit) -> Circuit:

@@ -17,10 +17,10 @@ import numbers
 from dataclasses import asdict, dataclass, fields
 from enum import Enum, IntEnum
 
-from .circuits import Circuit, step_states, to_truth_table
+from .circuits import Circuit, _column_verdicts, _words
 from .energy import BoundInput, EnergyParams, landauer_per_bit, lower_bound, wire_dissipation_per_cycle
 from .errors import DimensionMismatch, InconsistentProfile
-from .tables import BitWord, is_conservative
+from .tables import BitWord
 
 
 class Level(IntEnum):
@@ -208,10 +208,11 @@ def run_ledger(
 
     # a closed run never prices COMPUTE, so it needs neither the states nor
     # the conservativity verdict, and so no enumeration
-    if not closed and not is_conservative(to_truth_table(Circuit(circuit.width, circuit.gates))):
+    if not closed and not _column_verdicts(circuit.width, circuit.gates)[1]:
         kept = 1.0 - profile.recovered_fraction
-        for before, after in itertools.pairwise(step_states(circuit, inputs)):
-            entry = _priced(Stage.COMPUTE, (before.value ^ after.value).bit_count(), unit, kept)
+        states = _words(circuit.width, circuit.gates, circuit.ancillas, inputs)
+        for before, after in itertools.pairwise(states):
+            entry = _priced(Stage.COMPUTE, (before ^ after).bit_count(), unit, kept)
             if entry.joules > 0:
                 entries.append(entry)
 

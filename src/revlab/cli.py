@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .circuits import Circuit, dual_rail_embed, format_circuit, invert_circuit, parse_circuit, simulate, to_truth_table
+from .circuits import Circuit, _column_verdicts, dual_rail_embed, format_circuit, invert_circuit, parse_circuit, simulate, to_truth_table
 from .classify import (
     ControlStyle,
     Environment,
@@ -56,10 +56,6 @@ def _load_circuit(path: str) -> Circuit:
     return loaded
 
 
-def _as_table(loaded: TruthTable | Circuit) -> TruthTable:
-    return loaded if isinstance(loaded, TruthTable) else to_truth_table(loaded)
-
-
 def _yn(flag: bool) -> str:
     return "yes" if flag else "no"
 
@@ -67,9 +63,12 @@ def _yn(flag: bool) -> str:
 # Each verb returns its exit code and its report, rendered only in the format
 # that was asked for: the text bytes, or a structure main prints as JSON.
 def _cmd_check(args: argparse.Namespace) -> tuple[int, str | dict]:
-    table = _as_table(_load_any(args.file))
-    conservative = is_conservative(table)
-    reversible = conservative or is_reversible(table)
+    loaded = _load_any(args.file)
+    if isinstance(loaded, TruthTable):
+        conservative = is_conservative(loaded)
+        reversible = conservative or is_reversible(loaded)
+    else:
+        reversible, conservative = _column_verdicts(loaded.width, loaded.gates, bool(loaded.ancillas))
     code = 0 if reversible else 1
     if args.format == "json":
         return code, {"reversible": reversible, "conservative": conservative}
@@ -98,7 +97,8 @@ def _cmd_invert(args: argparse.Namespace) -> tuple[int, str | dict]:
 
 
 def _cmd_dualrail(args: argparse.Namespace) -> tuple[int, str | dict]:
-    base = _as_table(_load_any(args.file))
+    loaded = _load_any(args.file)
+    base = loaded if isinstance(loaded, TruthTable) else to_truth_table(loaded)
     embedded = dual_rail_embed(base)
     if args.format == "json":
         return 0, {

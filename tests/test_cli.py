@@ -135,6 +135,17 @@ def test_energy_past_the_cap_is_a_domain_error(files, capsys):
     assert err == "energy: cannot enumerate 17 lines (cap 16)\n"
 
 
+@pytest.mark.parametrize("text", [WIDE_NET, WIDE_NET + "ancilla 3 1\n"], ids=["free", "ancilla"])
+def test_check_past_the_cap_is_a_domain_error(files, capsys, text):
+    # an ancilla settles both verdicts without running a gate, but the cap
+    # still comes first
+    path = files("wide.net", text)
+    for fmt in ("text", "json"):
+        code, out, err = run_cli(capsys, "check", "--format", fmt, path)
+        assert (code, out) == (1, "")
+        assert err == "check: cannot enumerate 17 lines (cap 16)\n"
+
+
 def test_closed_energy_past_the_cap_needs_no_enumeration(files, capsys):
     path = files("wide.net", WIDE_NET)
     code, out, err = run_cli(capsys, "energy", path, "--input", "0" * 17, "--closed")

@@ -1,5 +1,6 @@
 """Generated-input properties of the circuit engine: the whole-table kernel
-agrees with single-word simulation, each gate undoes itself and matches a
+agrees with single-word simulation, the verdicts decided on line columns
+are the row predicates of the table, each gate undoes itself and matches a
 per-bit reference, wide simulations follow that reference after every gate,
 and the embeddings, garbage projections and lifts built on whole-table
 arithmetic match their per-word definitions; the classical layer imports no
@@ -83,6 +84,7 @@ from revlab import (
     to_truth_table,
     wire_dissipation_per_cycle,
 )
+from revlab.circuits import _column_verdicts
 from revlab.cli import _json
 from revlab.quantum import PROB_FLOOR, _apply_rows, _walk
 from revlab.tables import meaningful_lines
@@ -249,6 +251,37 @@ def test_circuit_then_inverse_is_identity(circuit):
     bare = Circuit(circuit.width, circuit.gates)
     round_trip = Circuit(circuit.width, bare.gates + invert_circuit(bare).gates)
     assert to_truth_table(round_trip) == TruthTable.identity(circuit.width)
+
+
+@st.composite
+def fredkin_circuits(draw, max_width=10):
+    # every row keeps its weight, so the conservative verdict is reached
+    width = draw(st.integers(3, max_width))
+    gate = st.permutations(range(width)).map(lambda p: FREDKIN(*p[:3]))
+    garbage = draw(st.sets(st.integers(0, width - 1), max_size=width))
+    return Circuit(width, tuple(draw(st.lists(gate, max_size=20))), garbage=frozenset(garbage))
+
+
+@given(st.one_of(circuits(), fredkin_circuits()))
+@example(Circuit(2, (NOT(0), NOT(1))))  # every row keeps the parity of its weight, not its weight
+@example(Circuit(2, (CNOT(0, 1), CNOT(1, 0), CNOT(0, 1))))  # a swap made of gates that change weights
+def test_column_verdicts_are_the_row_predicates(circuit):
+    table = to_truth_table(circuit)
+    verdicts = _column_verdicts(circuit.width, circuit.gates, bool(circuit.ancillas))
+    assert verdicts == (is_reversible(table), is_conservative(table))
+    # run_ledger asks it of the bare gate list
+    bare = to_truth_table(Circuit(circuit.width, circuit.gates))
+    assert _column_verdicts(circuit.width, circuit.gates) == (is_reversible(bare), is_conservative(bare))
+
+
+def test_sixteen_line_column_verdicts_are_the_row_predicates():
+    # counts of 16 set columns reach the fifth weight plane
+    rng = random.Random(21)
+    for kinds in (list(GateKind), [GateKind.FREDKIN]):
+        picked = tuple(Gate(k, tuple(rng.sample(range(16), k.arity))) for k in rng.choices(kinds, k=200))
+        table = to_truth_table(Circuit(16, picked))
+        assert _column_verdicts(16, picked) == (is_reversible(table), is_conservative(table))
+        assert _column_verdicts(16, picked, ancilla=True) == (False, False)
 
 
 def dual_rail_reference(f):
