@@ -241,8 +241,10 @@ def to_truth_table(circuit: Circuit) -> TruthTable:
 
 
 def _weight_planes(cols: list[int]) -> list[int]:
-    """Bit-sliced popcount of the columns: plane i holds bit i of every row's
-    count of set columns, and the top plane is the highest that count reaches."""
+    """Bit-sliced popcount of the columns: plane i holds bit i of each row's
+    count of set columns. There are as many planes as the largest count has
+    bits, so two sets of columns give equal planes exactly when every row
+    counts the same in both."""
     planes: list[int] = []
     for carry in cols:
         for i, plane in enumerate(planes):
