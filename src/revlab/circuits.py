@@ -315,16 +315,14 @@ def dual_rail_embed(f: TruthTable) -> TruthTable:
     n = f.in_width
     if 2 * n > MAX_WIDTH:
         raise TooWide(f"embedding needs {2 * n} lines (cap {MAX_WIDTH})")
-    mask = (1 << n) - 1
-    # word (x, y) maps to (f(x), ~f(~y)); rows run over x, then y
-    low = [mask ^ y for y in reversed(f.rows)]
-    if n < 8:
-        return TruthTable(2 * n, 2 * n, tuple(y << n | z for y in f.rows for z in low))
-    # at 16 bits each half is one byte lane of the little-endian rows
-    words = bytearray(2 << 16)
-    words[0::2] = bytes(low) * 256
-    words[1::2] = b"".join(bytes((y,)) * 256 for y in f.rows)
-    return TruthTable(16, 16, struct.unpack("<65536H", words))
+    size, mask = 1 << n, (1 << n) - 1
+    # word (x, y) maps to (f(x), ~f(~y)); rows run over x, then y. The rows of
+    # one x are the low rails as 16-bit little-endian lanes plus f(x) << n in
+    # every lane, which is f(x) << n times the lane repunit.
+    low = int.from_bytes(struct.pack(f"<{size}H", *(mask ^ y for y in reversed(f.rows))), "little")
+    repunit = int.from_bytes(b"\1\0" * size, "little")
+    words = b"".join((low + (y << n) * repunit).to_bytes(2 * size, "little") for y in f.rows)
+    return TruthTable(2 * n, 2 * n, struct.unpack(f"<{size * size}H", words))
 
 
 _MNEMONICS = {kind.value: kind for kind in GateKind}

@@ -168,9 +168,9 @@ def parse_table(text: str) -> TruthTable:
     be listed exactly once; unlisted or repeated inputs are an error.
 
     Rows are decoded a whole bit column at a time from the layout
-    format_table writes. Text in any other layout, or with a fault, is first
-    rewritten into that layout by a line loop, which raises the first fault
-    in line order.
+    format_table writes, in counting order. Text in any other layout or row
+    order, or with a fault, is first rewritten into that layout by a line
+    loop, which raises the first fault in line order.
     """
     lines = meaningful_lines(text)
     header = next(lines, None)
@@ -186,7 +186,7 @@ def parse_table(text: str) -> TruthTable:
     rows = _decode_rows(in_width, out_width, text[len(bare) :]) if text.startswith(bare) else None
     if rows is None:
         rows = _decode_rows(in_width, out_width, _normalised(in_width, out_width, lines))
-    return TruthTable(in_width, out_width, tuple(rows))
+    return TruthTable(in_width, out_width, rows)
 
 
 def format_table(t: TruthTable) -> str:
@@ -229,9 +229,10 @@ def _counting_columns(width: int) -> list[bytes]:
 _BIT_TEXT = _counting_columns(8)[::-1]
 
 
-def _decode_rows(in_width: int, out_width: int, text: str) -> Sequence[int] | None:
+def _decode_rows(in_width: int, out_width: int, text: str) -> tuple[int, ...] | None:
     """The rows of a fixed-layout body, or None when the body is not ASCII,
-    has the wrong length, has a byte out of place or lists an input twice."""
+    has the wrong length, has a byte out of place or lists its inputs out of
+    counting order."""
     size, length = 1 << in_width, in_width + out_width + 5
     if not text.isascii() or len(text) != length << in_width:
         return None
@@ -243,16 +244,9 @@ def _decode_rows(in_width: int, out_width: int, text: str) -> Sequence[int] | No
     step = len(zeros)
     if any(body[at : at + step].translate(_ONES_AS_ZEROS) != zeros for at in range(0, len(body), step)):
         return None
-    ys = _column_values((body[in_width + 4 + j :: length] for j in range(out_width)), out_width, size)
-    if all(body[j::length] == column for j, column in enumerate(_counting_columns(in_width))):
-        return ys
-    xs = _column_values((body[j::length] for j in range(in_width)), in_width, size)
-    if len(set(xs)) != size:
+    if any(body[j::length] != column for j, column in enumerate(_counting_columns(in_width))):
         return None
-    rows = [0] * size
-    for x, y in zip(xs, ys):
-        rows[x] = y
-    return rows
+    return _column_values((body[in_width + 4 + j :: length] for j in range(out_width)), out_width, size)
 
 
 def _column_values(columns: Iterable[bytes], width: int, count: int) -> tuple[int, ...]:
@@ -279,8 +273,8 @@ def _digit_columns(values: Sequence[int], width: int) -> list[bytes]:
 
 def _normalised(in_width: int, out_width: int, lines: Iterator[str]) -> str:
     """The row lines of a table rewritten into the fixed layout, one line at
-    a time: spacing and row order do not matter. Raises the first fault in
-    line order."""
+    a time, and sorted into counting order: spacing and row order do not
+    matter. Raises the first fault in line order."""
     seen: set[str] = set()
     body = []
     for line in lines:
@@ -297,7 +291,8 @@ def _normalised(in_width: int, out_width: int, lines: Iterator[str]) -> str:
     missing = (1 << in_width) - len(seen)
     if missing:
         raise ParseError(f"{missing} input word(s) unlisted")
-    return "".join(body)
+    # the input digits are fixed-width, so string order is counting order
+    return "".join(sorted(body))
 
 
 def meaningful_lines(text: str) -> Iterator[str]:

@@ -196,7 +196,7 @@ def test_parse_format_round_trip_where_the_lanes_split(in_width, out_width):
     table = TruthTable(in_width, out_width, rows)
     header, *lines = format_table(table).splitlines(keepends=True)
     assert parse_table(header + "".join(lines)) == table
-    rng.shuffle(lines)  # inputs out of order take the scatter
+    rng.shuffle(lines)  # inputs out of order take the line loop
     assert parse_table(header + "".join(lines)) == table
 
 
@@ -246,8 +246,8 @@ def traced_peak(call, *args):
 
 def test_a_16_bit_table_text_is_read_and_written_without_a_spare_copy():
     # parse: while a permutation's rows are decoded, the body's bytes and the
-    # output and input values are alive, about 2.6 text sizes; a fixed-layout
-    # check that copies the whole body takes the peak to 3.0. format: the row
+    # output values are alive, about 2.3 text sizes; a fixed-layout check
+    # that copies the whole body takes the peak to 3.0. format: the row
     # buffer and the text it decodes to, 2.0; a header joined after the
     # decode takes it to 3.0.
     rng = random.Random(16)
