@@ -136,33 +136,21 @@ def _apply_rows(m: np.ndarray, stack: np.ndarray, n: int, targets: tuple[int, ..
     """Apply m to the target qubits of every row of a (rows, 2^n) stack, in
     place.
 
-    Each run of non-target qubits is one axis. The target axes go first and
-    the row axis next, so one product serves a block of rows, and each row
-    gets the columns a one-row stack would give it, in the same order.
+    Each block of rows is viewed as (rows, 2, ..., 2), one axis per qubit
+    after the row axis, and transposed to the target axes in matrix order,
+    then the row axis, then the other qubits in qubit order. One product
+    serves the block, each row gets the columns a one-row stack would give
+    it, in the same order, and the product is written back through the
+    transposed view.
     """
     k = len(targets)
-    # A (rows, *shape) view has the row axis 0, then one axis per target
-    # qubit and one per run of other qubits, in qubit order.
-    shape, axis, start = [], {}, 0
-    for t in sorted(targets):
-        if t > start:
-            shape.append(1 << (t - start))
-        shape.append(2)
-        axis[t] = len(shape)
-        start = t + 1
-    if n > start:
-        shape.append(1 << (n - start))
-    runs = [a for a in range(1, len(shape) + 1) if a not in axis.values()]
-    order = [*(axis[t] for t in targets), 0, *runs]
-    back = sorted(range(len(order)), key=order.__getitem__)
+    order = [*(1 + t for t in targets), 0, *(1 + q for q in range(n) if q not in targets)]
     # With at most one qubit left over, BLAS takes another inner loop for a
     # product over several rows than for one row, and the last bits differ.
     step = _BLOCK if n - k >= 2 else 1
     for a in range(0, len(stack), step):
-        block = stack[a : a + step]
-        x = block.reshape(len(block), *shape).transpose(order)
-        y = (m @ x.reshape(1 << k, -1)).reshape(x.shape)
-        block.reshape(len(block), *shape)[...] = y.transpose(back)
+        x = stack[a : a + step].reshape(-1, *(2,) * n).transpose(order)
+        x[...] = (m @ x.reshape(1 << k, -1)).reshape(x.shape)
 
 
 def apply(matrix: np.ndarray, state: np.ndarray, targets: Sequence[int]) -> np.ndarray:

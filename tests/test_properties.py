@@ -430,8 +430,9 @@ def test_measure_does_not_depend_on_the_scale_of_the_state(case):
 
 
 def reference_apply(matrix, state, targets):
-    """apply as it was before it permuted by one axis order: move the target
-    axes to the front, multiply, move them back."""
+    """apply in its plainest form, with no row axis and no blocks, so each
+    step can be read off the definition: one axis per qubit, the target axes
+    moved to the front in matrix order, one product, the axes moved back."""
     n = state.size.bit_length() - 1
     k = len(targets)
     arr = np.moveaxis(state.reshape((2,) * n), targets, range(k))
@@ -452,7 +453,15 @@ def operator_cases(draw):
     return matrix, state, targets
 
 
+def spiral(rows, n):
+    """A fixed (rows, 2^n) array of distinct amplitudes, for pinned examples."""
+    i = np.arange(rows << n).reshape(rows, 1 << n)
+    return np.exp(1j * i) * np.sqrt(i + 1)
+
+
 @given(operator_cases())
+# a matrix with no symmetry under a swap of its targets, which are out of order
+@example((spiral(8, 3), spiral(1, 7)[0], (6, 0, 3)))
 def test_apply_gives_the_bytes_of_the_moveaxis_form(case):
     matrix, state, targets = case
     assert apply(matrix, state, targets).tobytes() == reference_apply(matrix, state, targets).tobytes()
@@ -475,18 +484,15 @@ def stack_cases(draw):
     return matrix, stack, n, targets
 
 
-def spiral(rows, n):
-    """A fixed (rows, 2^n) stack of distinct amplitudes, for pinned examples."""
-    i = np.arange(rows << n).reshape(rows, 1 << n)
-    return np.exp(1j * i) * np.sqrt(i + 1)
-
-
 @given(stack_cases())
 # shapes with at most one qubit left over, where a product over several rows
 # differs from one row by row in the last bits
 @example((gate_matrix("RX", 0.7), spiral(5, 1), 1, (0,)))
 @example((gate_matrix("RX", 0.7), spiral(5, 2), 2, (1,)))
 @example((gate_matrix("IZZ", 1.3), spiral(5, 3), 3, (2, 0)))
+# the widest state, over a block edge, with targets out of order under a
+# matrix that a swap of its targets changes
+@example((np.kron(gate_matrix("H"), gate_matrix("RX", 0.7)), spiral(20, 10), 10, (9, 0)))
 def test_the_stack_kernel_gives_each_row_the_bytes_of_apply(case):
     matrix, stack, n, targets = case
     out = stack.copy()
