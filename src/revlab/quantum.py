@@ -23,7 +23,7 @@ import cmath
 import math
 import random
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -66,9 +66,9 @@ def gate_matrix(name: str, theta: float | None = None) -> np.ndarray:
         return np.array([[r, r], [r, -r]], dtype=complex)
     if name == "IZZ":
         p = cmath.exp(1j * theta)
-        return np.diag([1, p, p, 1]).astype(complex)
+        return np.array([[1, 0, 0, 0], [0, p, 0, 0], [0, 0, p, 0], [0, 0, 0, 1]], dtype=complex)
     if name == "T":
-        return np.diag([1, 1j]).astype(complex)
+        return np.array([[1, 0], [0, 1j]], dtype=complex)
     raise ValueError(f"unknown gate {name!r}")
 
 
@@ -126,9 +126,9 @@ def _operator(matrix: np.ndarray, targets: Sequence[int], n: int) -> tuple[np.nd
     return m, targets
 
 
-# Rows per block of the stack kernels. A block's temporaries stay small
-# (256 KiB at 10 qubits), so the freed ones, which the allocator keeps
-# resident, add little beside the two stacks a MEASURE holds.
+# Rows per block of branch states. A block's temporaries stay small (256 KiB
+# at 10 qubits), and a MEASURE frees each old block once its rows are
+# projected, so a walk holds little beyond its newest states.
 _BLOCK = 16
 
 
@@ -184,42 +184,54 @@ def _bit_masks(n: int, qubit: int) -> np.ndarray:
     return np.array([bit == 0, bit == 1])
 
 
-def _weights(stack: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _weights(blocks: list[np.ndarray], masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row's squared norm, and its weights on the two masks, as a
-    (rows,) and a (2, rows) array."""
-    totals = np.empty(len(stack))
-    weights = np.empty((2, len(stack)))
+    (rows,) and a (2, rows) array, rows in block order."""
+    rows = sum(map(len, blocks))
+    totals = np.empty(rows)
+    weights = np.empty((2, rows))
+    a = 0
     with np.errstate(over="ignore"):  # an overflow is reported by _outcomes
-        for a in range(0, len(stack), _BLOCK):
-            squares = np.abs(stack[a : a + _BLOCK]) ** 2
-            totals[a : a + _BLOCK] = np.sum(squares, axis=1)
+        for block in blocks:
+            squares = np.abs(block) ** 2
+            b = a + len(block)
+            totals[a:b] = np.sum(squares, axis=1)
             for value, keep in enumerate(masks):
-                weights[value, a : a + _BLOCK] = np.sum(np.where(keep, squares, 0), axis=1)
+                weights[value, a:b] = np.sum(np.where(keep, squares, 0), axis=1)
+            a = b
     return totals, weights
 
 
-def _outcomes(total: float, weights: np.ndarray) -> list[MeasurementOutcome]:
-    """One row's outcomes above the floor, value 0 first, before their
-    post-measurement states are built (post_state is None)."""
-    if not math.isfinite(total):
-        raise ValueError(f"cannot measure a state of squared norm {total}")
-    if total < sys.float_info.min / PROB_FLOOR:
+def _outcomes(totals: np.ndarray, weights: np.ndarray) -> list[list[tuple[int, float]]]:
+    """Each row's (value, probability) outcomes above the floor, value 0
+    first. Raises for the first row that cannot be measured."""
+    bad = ~np.isfinite(totals) | (totals < sys.float_info.min / PROB_FLOOR)
+    if bad.any():
+        total = float(totals[bad.argmax()])
+        if not math.isfinite(total):
+            raise ValueError(f"cannot measure a state of squared norm {total}")
         raise ZeroNorm("cannot measure a zero state vector")
-    probabilities = [(value, float(weight) / total) for value, weight in enumerate(weights)]
-    return [MeasurementOutcome(v, p, None) for v, p in probabilities if p > PROB_FLOOR]
+    return [[o for o in enumerate(row) if o[1] > PROB_FLOOR] for row in (weights / totals).T.tolist()]
 
 
-def _project(stack: np.ndarray, masks: np.ndarray, weights: np.ndarray, picks: list[tuple[int, int]]) -> np.ndarray:
-    """A new stack with one row per (row, value) pick: that row with the
-    amplitudes off the value's mask zeroed, divided by the root of its weight."""
-    rows = np.array([row for row, _ in picks], dtype=np.intp)
-    values = np.array([value for _, value in picks], dtype=np.intp)
-    scale = np.sqrt(weights[values, rows])
-    out = np.zeros((len(picks), stack.shape[1]), dtype=complex)
+def _project(blocks: list[np.ndarray], qubit: int, weights: np.ndarray, picks: list[tuple[int, int]]) -> list[np.ndarray]:
+    """New blocks with one row per (row, value) pick, picks in row order: that
+    row's amplitudes where the qubit reads the value, divided by the root of
+    the value's weight, and +0 elsewhere, as dividing a zero would give. Each
+    old block is cleared from `blocks` before the first new block that no
+    longer reads it."""
+    scale = np.sqrt(weights[[v for _, v in picks], [r for r, _ in picks]])
+    out = []
     for a in range(0, len(picks), _BLOCK):
-        block = slice(a, a + _BLOCK)
-        np.copyto(out[block], stack[rows[block]], where=masks[values[block]])
-        out[block] /= scale[block, None]
+        chunk = picks[a : a + _BLOCK]
+        first = chunk[0][0] // _BLOCK
+        blocks[:first] = [None] * first
+        new = np.zeros((len(chunk), blocks[first].shape[1]), dtype=complex)
+        halves = new.reshape(len(chunk), 1 << qubit, 2, -1)
+        for i, (r, v) in enumerate(chunk):
+            source = blocks[r // _BLOCK][r % _BLOCK].reshape(1 << qubit, 2, -1)
+            np.divide(source[:, v], scale[a + i], out=halves[i, :, v])
+        out.append(new)
     return out
 
 
@@ -231,11 +243,12 @@ def measure(state: np.ndarray, qubit: int) -> list[MeasurementOutcome]:
     too small for a kept outcome's weight to be a normal float (zero is).
     """
     vec, n = _check_state(state)
-    masks = _bit_masks(n, qubit)
-    totals, weights = _weights(vec[None], masks)
-    outcomes = _outcomes(float(totals[0]), weights[:, 0])
-    posts = _project(vec[None], masks, weights, [(0, o.basis_value) for o in outcomes])
-    return [replace(o, post_state=post) for o, post in zip(outcomes, posts)]
+    blocks = [vec[None]]
+    totals, weights = _weights(blocks, _bit_masks(n, qubit))
+    (outcomes,) = _outcomes(totals, weights)
+    # the probabilities sum to about 1, so one or two rows: one new block
+    (posts,) = _project(blocks, qubit, weights, [(0, v) for v, _ in outcomes])
+    return [MeasurementOutcome(v, p, post) for (v, p), post in zip(outcomes, posts)]
 
 
 @dataclass(frozen=True)
@@ -303,15 +316,16 @@ def program_qubits(ops: Sequence[Op], n_qubits: int | None = None) -> int:
 
 def _walk(ops: Sequence[Op], n_qubits: int | None, keep) -> list[Branch]:
     """Run from the all-zero state, applying each gate to every branch. At a
-    MEASURE each branch continues once for every outcome that
-    `keep(path probability, outcomes)` returns, in the order returned; the
-    outcomes it sees carry no post-measurement state yet.
+    MEASURE each branch continues once for every (value, probability)
+    outcome that `keep(path probability, outcomes)` returns, in the order
+    returned.
 
-    The branch states are the rows of one (branches, 2^n) stack, so each op
-    runs once for all of them."""
+    The branch states are the rows of blocks of at most _BLOCK rows, so each
+    op runs once per block, and a MEASURE frees each old block as soon as it
+    has built the new rows that come from it."""
     n = program_qubits(ops, n_qubits)
-    stack = np.zeros((1, 1 << n), dtype=complex)
-    stack[0, 0] = 1.0
+    blocks = [np.zeros((1, 1 << n), dtype=complex)]
+    blocks[0][0, 0] = 1.0
     paths = [(1.0, ())]
     for op in ops:
         if op.name == "MEASURE":
@@ -319,19 +333,20 @@ def _walk(ops: Sequence[Op], n_qubits: int | None, keep) -> list[Branch]:
                 raise ValueError("MEASURE takes no angle")
             if len(op.qubits) != 1:
                 raise DimensionMismatch(f"MEASURE takes 1 qubit, got {op.qubits}")
-            masks = _bit_masks(n, op.qubits[0])
-            totals, weights = _weights(stack, masks)
+            totals, weights = _weights(blocks, _bit_masks(n, op.qubits[0]))
             picks, kept = [], []
-            for row, (probability, outcomes) in enumerate(paths):
-                for o in keep(probability, _outcomes(float(totals[row]), weights[:, row])):
-                    picks.append((row, o.basis_value))
-                    kept.append((probability * o.probability, outcomes + (o.basis_value,)))
-            stack = _project(stack, masks, weights, picks)
+            for row, ((probability, outcomes), results) in enumerate(zip(paths, _outcomes(totals, weights))):
+                for value, p in keep(probability, results):
+                    picks.append((row, value))
+                    kept.append((probability * p, outcomes + (value,)))
+            blocks = _project(blocks, op.qubits[0], weights, picks)
             paths = kept
         else:
             m, targets = _operator(gate_matrix(op.name, op.theta), op.qubits, n)
-            _apply_rows(m, stack, n, targets)
-    return [Branch(p, outcomes, state) for (p, outcomes), state in zip(paths, stack)]
+            for block in blocks:
+                _apply_rows(m, block, n, targets)
+    states = (row for block in blocks for row in block)
+    return [Branch(p, outcomes, state) for (p, outcomes), state in zip(paths, states)]
 
 
 def run_program(ops: Sequence[Op], n_qubits: int | None = None) -> list[Branch]:
@@ -341,7 +356,7 @@ def run_program(ops: Sequence[Op], n_qubits: int | None = None) -> list[Branch]:
     whose probability falls below the floor are dropped.
     """
     return _walk(
-        ops, n_qubits, lambda p, results: [o for o in results if p * o.probability > PROB_FLOOR]
+        ops, n_qubits, lambda p, results: [(v, q) for v, q in results if p * q > PROB_FLOOR]
     )
 
 
@@ -355,5 +370,5 @@ def sample_program(
     return _walk(
         ops,
         n_qubits,
-        lambda _p, results: results[:1] if rng.random() < results[0].probability else results[-1:],
+        lambda _p, results: results[:1] if rng.random() < results[0][1] else results[-1:],
     )[0]

@@ -6,9 +6,10 @@ and the embeddings, garbage projections and lifts built on whole-table
 arithmetic match their per-word definitions; the classical layer imports no
 numpy.
 Of the quantum layer: a sampled path is one of the enumerated branches and
-the path of an accumulating reference sampler, apply gives the bytes of a
-moveaxis reference, the stack kernel gives each row the bytes of a one-row
-apply, and measure does not depend on the state's scale.
+the path of an accumulating reference sampler, every enumerated branch has
+the bytes of a one-branch walk that replays its outcomes, apply gives the
+bytes of a moveaxis reference, the stack kernel gives each row the bytes of
+a one-row apply, and measure does not depend on the state's scale.
 Of the ledger: every run meets its own bound, and every entry, bound and
 report equals that of a reference copy of the per-stage pricing. Of the
 table, netlist and parameter text formats: format then parse is the
@@ -388,10 +389,10 @@ def reference_sample_program(ops, seed, n_qubits=None):
     def pick(_p, results):
         draw = rng.random()
         acc = 0.0
-        for outcome in results:
-            acc += outcome.probability
+        for value, probability in results:
+            acc += probability
             if draw < acc:
-                return [outcome]
+                return [(value, probability)]
         return results[-1:]
 
     return _walk(ops, n_qubits, pick)[0]
@@ -404,6 +405,39 @@ def test_a_sampled_path_is_the_accumulating_reference_path(program, seed):
     assert path.outcomes == expected.outcomes
     assert path.probability == expected.probability
     assert path.state.tobytes() == expected.state.tobytes()
+
+
+def replay(outcomes):
+    """A keep-policy for a one-branch walk that follows the given outcomes."""
+    values = iter(outcomes)
+
+    def pick(_p, results):
+        value = next(values)
+        return [o for o in results if o[0] == value]
+
+    return pick
+
+
+# After MEASURE 1 each of the 16 outcome prefixes leaves a row of about 1/16
+# and two of s/16 = 1.6e-12 (the fourth is dropped). At the balanced MEASURE 6
+# the small rows keep no outcome, so the 32 picks from 48 rows straddle the
+# old 16-row blocks.
+_SMALL = 2 * math.asin(math.sqrt(16 * 1.6e-12))
+_STRADDLE = (
+    [Op("H", (q,)) for q in range(2, 7)]
+    + [Op("MEASURE", (q,)) for q in range(2, 6)]
+    + [Op("RX", (0,), _SMALL), Op("RX", (1,), _SMALL), Op("MEASURE", (0,)), Op("MEASURE", (1,)), Op("MEASURE", (6,))]
+)
+
+
+@given(programs())
+@example((7, _STRADDLE))
+def test_every_enumerated_branch_has_the_bytes_of_its_own_walk(program):
+    n, ops = program
+    for branch in run_program(ops, n):
+        (alone,) = _walk(ops, n, replay(branch.outcomes))
+        assert alone.probability == branch.probability
+        assert alone.state.tobytes() == branch.state.tobytes()
 
 
 @st.composite
