@@ -438,6 +438,9 @@ def test_every_enumerated_branch_has_the_bytes_of_its_own_walk(program):
         (alone,) = _walk(ops, n, replay(branch.outcomes))
         assert alone.probability == branch.probability
         assert alone.state.tobytes() == branch.state.tobytes()
+    # a keep-policy that keeps nothing leaves an empty stack for the later ops
+    measured = any(op.name == "MEASURE" for op in ops)
+    assert len(_walk(ops, n, lambda _p, _results: [])) == (0 if measured else 1)
 
 
 @st.composite
