@@ -167,12 +167,12 @@ def _cmd_quantum(args: argparse.Namespace) -> tuple[int, str | dict]:
     for qubit in args.measure or []:
         ops.extend(parse_program(f"MEASURE {qubit}"))
     n_qubits = program_qubits(ops, args.qubits)
+    measured = sum(1 for op in ops if op.name == "MEASURE")
+    entry = measurement_entry(measured, _params_from(args))
     if args.sample is not None:
         branches = [sample_program(ops, args.sample, n_qubits)]
     else:
         branches = run_program(ops, n_qubits)
-    measured = sum(1 for op in ops if op.name == "MEASURE")
-    entry = measurement_entry(measured, _params_from(args))
     report = {
         "qubits": n_qubits,
         "branches": [_branch_payload(b, n_qubits) for b in branches],

@@ -176,63 +176,64 @@ class MeasurementOutcome:
     post_state: np.ndarray
 
 
-def _bit_masks(n: int, qubit: int) -> np.ndarray:
-    """A (2, 2^n) array: row v is true where the qubit reads v."""
+def _weights(blocks: list[np.ndarray], n: int, qubit: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's squared norm, and its weights where the qubit reads 0 and
+    1, as a (rows,) and a (2, rows) array, rows in block order."""
     if not 0 <= qubit < n:
         raise LineOutOfRange(f"qubit {qubit} out of range for {n} qubit(s)")
-    bit = (np.arange(1 << n) >> (n - 1 - qubit)) & 1
-    return np.array([bit == 0, bit == 1])
-
-
-def _weights(blocks: list[np.ndarray], masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's squared norm, and its weights on the two masks, as a
-    (rows,) and a (2, rows) array, rows in block order."""
+    # a (2, 2^n) array: row v is true where the qubit reads v
+    masks = np.arange(2)[:, None] == (np.arange(1 << n) >> (n - 1 - qubit)) & 1
     rows = sum(map(len, blocks))
     totals = np.empty(rows)
     weights = np.empty((2, rows))
     a = 0
-    with np.errstate(over="ignore"):  # an overflow is reported by _outcomes
+    with np.errstate(over="ignore"):  # an overflow is reported by _measured
         for block in blocks:
             squares = np.abs(block) ** 2
             b = a + len(block)
             totals[a:b] = np.sum(squares, axis=1)
-            for value, keep in enumerate(masks):
-                weights[value, a:b] = np.sum(np.where(keep, squares, 0), axis=1)
+            for value, mask in enumerate(masks):
+                weights[value, a:b] = np.sum(np.where(mask, squares, 0), axis=1)
             a = b
     return totals, weights
 
 
-def _outcomes(totals: np.ndarray, weights: np.ndarray) -> list[list[tuple[int, float]]]:
-    """Each row's (value, probability) outcomes above the floor, value 0
-    first. Raises for the first row that cannot be measured."""
+def _measured(blocks: list[np.ndarray], paths: list[tuple[float, tuple[int, ...]]], n: int, qubit: int, keep):
+    """Measure the qubit in every row: each (probability, outcomes) path
+    continues once for every (value, probability) outcome above the floor,
+    value 0 first, that `keep(path probability, outcomes)` returns, in the
+    order returned. Raises for the first row that cannot be measured.
+
+    Returns the new blocks and paths. A new row is its old row's amplitudes
+    where the qubit reads the value, divided by the root of the value's
+    weight, and +0 elsewhere, as dividing a zero would give. Each old block
+    is cleared from `blocks` before the first new block that no longer
+    reads it."""
+    totals, weights = _weights(blocks, n, qubit)
     bad = ~np.isfinite(totals) | (totals < sys.float_info.min / PROB_FLOOR)
     if bad.any():
         total = float(totals[bad.argmax()])
         if not math.isfinite(total):
             raise ValueError(f"cannot measure a state of squared norm {total}")
         raise ZeroNorm("cannot measure a zero state vector")
-    return [[o for o in enumerate(row) if o[1] > PROB_FLOOR] for row in (weights / totals).T.tolist()]
-
-
-def _project(blocks: list[np.ndarray], qubit: int, weights: np.ndarray, picks: list[tuple[int, int]]) -> list[np.ndarray]:
-    """New blocks with one row per (row, value) pick, picks in row order: that
-    row's amplitudes where the qubit reads the value, divided by the root of
-    the value's weight, and +0 elsewhere, as dividing a zero would give. Each
-    old block is cleared from `blocks` before the first new block that no
-    longer reads it."""
+    picks, kept = [], []
+    for row, ((probability, outcomes), results) in enumerate(zip(paths, (weights / totals).T.tolist())):
+        for value, p in keep(probability, [o for o in enumerate(results) if o[1] > PROB_FLOOR]):
+            picks.append((row, value))
+            kept.append((probability * p, outcomes + (value,)))
     scale = np.sqrt(weights[[v for _, v in picks], [r for r, _ in picks]])
     out = []
     for a in range(0, len(picks), _BLOCK):
         chunk = picks[a : a + _BLOCK]
         first = chunk[0][0] // _BLOCK
         blocks[:first] = [None] * first
-        new = np.zeros((len(chunk), blocks[first].shape[1]), dtype=complex)
+        new = np.zeros((len(chunk), 1 << n), dtype=complex)
         halves = new.reshape(len(chunk), 1 << qubit, 2, -1)
         for i, (r, v) in enumerate(chunk):
             source = blocks[r // _BLOCK][r % _BLOCK].reshape(1 << qubit, 2, -1)
             np.divide(source[:, v], scale[a + i], out=halves[i, :, v])
         out.append(new)
-    return out
+    return out, kept
 
 
 def measure(state: np.ndarray, qubit: int) -> list[MeasurementOutcome]:
@@ -243,12 +244,9 @@ def measure(state: np.ndarray, qubit: int) -> list[MeasurementOutcome]:
     too small for a kept outcome's weight to be a normal float (zero is).
     """
     vec, n = _check_state(state)
-    blocks = [vec[None]]
-    totals, weights = _weights(blocks, _bit_masks(n, qubit))
-    (outcomes,) = _outcomes(totals, weights)
     # the probabilities sum to about 1, so one or two rows: one new block
-    (posts,) = _project(blocks, qubit, weights, [(0, v) for v, _ in outcomes])
-    return [MeasurementOutcome(v, p, post) for (v, p), post in zip(outcomes, posts)]
+    (posts,), paths = _measured([vec[None]], [(1.0, ())], n, qubit, lambda _p, results: results)
+    return [MeasurementOutcome(v, p, post) for (p, (v,)), post in zip(paths, posts)]
 
 
 @dataclass(frozen=True)
@@ -333,14 +331,7 @@ def _walk(ops: Sequence[Op], n_qubits: int | None, keep) -> list[Branch]:
                 raise ValueError("MEASURE takes no angle")
             if len(op.qubits) != 1:
                 raise DimensionMismatch(f"MEASURE takes 1 qubit, got {op.qubits}")
-            totals, weights = _weights(blocks, _bit_masks(n, op.qubits[0]))
-            picks, kept = [], []
-            for row, ((probability, outcomes), results) in enumerate(zip(paths, _outcomes(totals, weights))):
-                for value, p in keep(probability, results):
-                    picks.append((row, value))
-                    kept.append((probability * p, outcomes + (value,)))
-            blocks = _project(blocks, op.qubits[0], weights, picks)
-            paths = kept
+            blocks, paths = _measured(blocks, paths, n, op.qubits[0], keep)
         else:
             m, targets = _operator(gate_matrix(op.name, op.theta), op.qubits, n)
             for block in blocks:

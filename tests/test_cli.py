@@ -393,6 +393,21 @@ def test_quantum_negative_qubit_count_is_a_usage_error(files, capsys):
     assert err == "quantum: qubit count must be non-negative, got -1\n"
 
 
+@pytest.mark.parametrize("sample", [[], ["--sample", "1"]], ids=["all", "sample"])
+def test_quantum_rejects_a_bad_temperature_before_it_walks(files, capsys, monkeypatch, sample):
+    def walk(*_args):
+        pytest.fail("the program was walked before --temp was checked")
+
+    monkeypatch.setattr("revlab.cli.run_program", walk)
+    monkeypatch.setattr("revlab.cli.sample_program", walk)
+    # 1024 branches: H on 10 qubits, then RX and MEASURE on each
+    text = "".join(f"H {q}\n" for q in range(10)) + "".join(f"RX 1.1 {q}\nMEASURE {q}\n" for q in range(10))
+    path = files("wide.q", text)
+    code, out, err = run_cli(capsys, "quantum", path, "--temp", "nan", *sample)
+    assert (code, out) == (2, "")
+    assert err == "quantum: T must be finite and non-negative, got nan\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -7,9 +7,10 @@ arithmetic match their per-word definitions; the classical layer imports no
 numpy.
 Of the quantum layer: a sampled path is one of the enumerated branches and
 the path of an accumulating reference sampler, every enumerated branch has
-the bytes of a one-branch walk that replays its outcomes, apply gives the
-bytes of a moveaxis reference, the stack kernel gives each row the bytes of
-a one-row apply, and measure does not depend on the state's scale.
+the bytes of a one-branch walk that replays its outcomes and of apply and
+measure called op by op, apply gives the bytes of a moveaxis reference, the
+stack kernel gives each row the bytes of a one-row apply, and measure does
+not depend on the state's scale.
 Of the ledger: every run meets its own bound, and every entry, bound and
 report equals that of a reference copy of the per-stage pricing. Of the
 table, netlist and parameter text formats: format then parse is the
@@ -441,6 +442,27 @@ def test_every_enumerated_branch_has_the_bytes_of_its_own_walk(program):
     # a keep-policy that keeps nothing leaves an empty stack for the later ops
     measured = any(op.name == "MEASURE" for op in ops)
     assert len(_walk(ops, n, lambda _p, _results: [])) == (0 if measured else 1)
+
+
+@given(programs(max_qubits=7))
+@example((7, _STRADDLE))
+# the outcome weights of this MEASURE sum to a float one ulp off the squared norm
+@example((2, [Op("H", (1,)), Op("RX", (0,), 3.0), Op("RX", (0,), 1.0), Op("MEASURE", (0,))]))
+def test_every_enumerated_branch_has_the_bytes_of_apply_and_measure_alone(program):
+    n, ops = program
+    for branch in run_program(ops, n):
+        values = iter(branch.outcomes)
+        probability, state = 1.0, np.zeros(1 << n, dtype=complex)
+        state[0] = 1.0
+        for op in ops:
+            if op.name == "MEASURE":
+                value = next(values)
+                (outcome,) = [o for o in measure(state, op.qubits[0]) if o.basis_value == value]
+                probability, state = probability * outcome.probability, outcome.post_state
+            else:
+                state = apply(gate_matrix(op.name, op.theta), state, op.qubits)
+        assert probability == branch.probability
+        assert state.tobytes() == branch.state.tobytes()
 
 
 @st.composite
