@@ -248,8 +248,6 @@ def _weight_planes(cols: list[int]) -> list[int]:
     planes: list[int] = []
     for carry in cols:
         for i, plane in enumerate(planes):
-            if not carry:
-                break
             planes[i], carry = plane ^ carry, plane & carry
         if carry:
             planes.append(carry)

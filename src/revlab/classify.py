@@ -100,7 +100,7 @@ class SystemProfile:
             raise ValueError(f"instruction_bits must be a non-negative int, got {self.instruction_bits!r}")
         if not 0.0 <= self.recovered_fraction <= 1.0:
             raise ValueError(f"recovered_fraction must be in [0, 1], got {self.recovered_fraction!r}")
-        if not math.isfinite(self.reconfiguration_units) or self.reconfiguration_units < 0:
+        if not math.isfinite(self.reconfiguration_units) or math.copysign(1.0, self.reconfiguration_units) < 0:
             raise ValueError(f"reconfiguration_units must be finite and non-negative, got {self.reconfiguration_units!r}")
 
 
@@ -129,7 +129,7 @@ class LedgerEntry:
     def __post_init__(self) -> None:
         if isinstance(self.bits, bool) or not isinstance(self.bits, int) or self.bits < 0:
             raise ValueError(f"{self.stage.value} bits must be a non-negative int, got {self.bits!r}")
-        if isinstance(self.joules, bool) or not isinstance(self.joules, numbers.Real) or not math.isfinite(self.joules) or self.joules < 0:
+        if isinstance(self.joules, bool) or not isinstance(self.joules, numbers.Real) or not math.isfinite(self.joules) or math.copysign(1.0, self.joules) < 0:
             raise ValueError(f"{self.stage.value} joules must be finite and non-negative, got {self.joules!r}")
 
 

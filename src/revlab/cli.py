@@ -14,7 +14,7 @@ import functools
 import json
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .circuits import Circuit, _column_verdicts, dual_rail_embed, format_circuit, invert_circuit, parse_circuit, simulate, to_truth_table
 from .classify import (
@@ -30,7 +30,7 @@ from .classify import (
 )
 from .energy import EnergyParams, parse_params
 from .errors import ParseError, RevlabError
-from .quantum import Branch, parse_program, program_qubits, run_program, sample_program
+from .quantum import parse_program, program_qubits, run_program, sample_program
 from .tables import BitWord, TruthTable, bit_string, format_table, invert, is_conservative, is_reversible, meaningful_lines, parse_table
 
 _EPILOG = "Bit strings are most-significant line first: line 0 is the leftmost character."
@@ -136,30 +136,11 @@ def _cmd_energy(args: argparse.Namespace) -> tuple[int, str | dict]:
     return 0, render(ledger, params)
 
 
-def _branch_payload(branch: Branch, n_qubits: int) -> dict:
-    state = branch.state
+def _amplitudes(state) -> Iterator[tuple[int, float, float]]:
+    """The basis index, real and imaginary parts of each amplitude of a state
+    vector that a quantum report shows: each not zero to within rounding."""
     shown = (abs(state) > 1e-9).nonzero()[0]
-    parts = zip(shown.tolist(), state.real[shown].tolist(), state.imag[shown].tolist())
-    return {
-        "probability": branch.probability,
-        "outcomes": list(branch.outcomes),
-        "amplitudes": [{"basis": bit_string(i, n_qubits), "re": re, "im": im} for i, re, im in parts],
-    }
-
-
-def _quantum_text(report: dict) -> str:
-    lines = []
-    for branch in report["branches"]:
-        history = "".join(map(str, branch["outcomes"])) or "-"
-        lines.append(f"outcome {history} p={branch['probability']:.6f}")
-        for amp in branch["amplitudes"]:
-            lines.append(f"  {amp['basis'] or '-'} {amp['re']:.6f}{amp['im']:+.6f}i")
-    measurement = report["measurement"]
-    if measurement["bits"]:
-        lines.append(
-            f"measurement dissipation: {measurement['bits']} bits, {sci6(measurement['joules'])} J"
-        )
-    return "\n".join(lines) + "\n"
+    return zip(shown.tolist(), state.real[shown].tolist(), state.imag[shown].tolist())
 
 
 def _cmd_quantum(args: argparse.Namespace) -> tuple[int, str | dict]:
@@ -173,12 +154,26 @@ def _cmd_quantum(args: argparse.Namespace) -> tuple[int, str | dict]:
         branches = [sample_program(ops, args.sample, n_qubits)]
     else:
         branches = run_program(ops, n_qubits)
-    report = {
-        "qubits": n_qubits,
-        "branches": [_branch_payload(b, n_qubits) for b in branches],
-        "measurement": {"bits": entry.bits, "joules": entry.joules},
-    }
-    return 0, report if args.format == "json" else _quantum_text(report)
+    if args.format == "json":
+        return 0, {
+            "qubits": n_qubits,
+            "branches": [
+                {
+                    "probability": branch.probability,
+                    "outcomes": list(branch.outcomes),
+                    "amplitudes": [{"basis": bit_string(i, n_qubits), "re": re, "im": im} for i, re, im in _amplitudes(branch.state)],
+                }
+                for branch in branches
+            ],
+            "measurement": {"bits": entry.bits, "joules": entry.joules},
+        }
+    lines = []
+    for branch in branches:
+        lines.append(f"outcome {''.join(map(str, branch.outcomes)) or '-'} p={branch.probability:.6f}")
+        lines.extend(f"  {bit_string(i, n_qubits) or '-'} {re:.6f}{im:+.6f}i" for i, re, im in _amplitudes(branch.state))
+    if entry.bits:
+        lines.append(f"measurement dissipation: {entry.bits} bits, {sci6(entry.joules)} J")
+    return 0, "\n".join(lines) + "\n"
 
 
 def _cmd_classify(args: argparse.Namespace) -> tuple[int, str | dict]:

@@ -45,7 +45,7 @@ class EnergyParams:
     def __post_init__(self) -> None:
         for fld in fields(self):
             value = getattr(self, fld.name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value) or value < 0:
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value) or math.copysign(1.0, value) < 0:
                 raise ValueError(f"{fld.name} must be finite and non-negative, got {value!r}")
         if self.wire_cross_section == 0:
             raise ValueError("wire_cross_section must be positive")

@@ -129,6 +129,20 @@ def test_a_record_rejects_a_bool_or_a_string_where_a_number_goes(record, values,
         record(**values)
 
 
+@pytest.mark.parametrize(
+    "record, values, field",
+    [
+        (EnergyParams, {"T": -0.0}, "T"),
+        (LedgerEntry, {"stage": Stage.COMPUTE, "bits": 0, "joules": -0.0}, "COMPUTE joules"),
+        (SystemProfile, {"software_tracked_only": True, "reconfiguration_units": -0.0}, "reconfiguration_units"),
+    ],
+)
+def test_a_record_rejects_a_negative_zero_like_any_negative_value(record, values, field):
+    # -0.0 < 0 is False, and a report would print it as -0.000000e0 J
+    with pytest.raises(ValueError, match=rf"^{field} must be finite and non-negative, got -0\.0$"):
+        record(**values)
+
+
 def test_ledger_entry_validation():
     with pytest.raises(ValueError):
         LedgerEntry(Stage.COMPUTE, -1, 0.0)

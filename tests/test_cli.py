@@ -313,6 +313,37 @@ def test_energy_bad_recovered_fraction(files, capsys):
     assert "recovered_fraction" in err
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["energy", "cnot.net", "--input", "10", "--temp", "-0.0"], "energy: T must be finite and non-negative, got -0.0"),
+        (
+            ["energy", "cnot.net", "--input", "10", "--closed", "--reconfig-units", "-0.0"],
+            "energy: reconfiguration_units must be finite and non-negative, got -0.0",
+        ),
+        (["quantum", "measure.q", "--temp", "-0.0"], "quantum: T must be finite and non-negative, got -0.0"),
+        (
+            ["energy", "cnot.net", "--input", "10", "--tech", "TECH"],
+            "energy: rho must be finite and non-negative, got -0.0 in 'rho = -0.0'",
+        ),
+    ],
+    ids=["temp", "reconfig-units", "quantum-temp", "tech-file"],
+)
+def test_a_negative_zero_is_rejected_like_any_negative_value(argv, err, files, capsys, monkeypatch):
+    tech = files("zero.tech", "rho = -0.0\n")
+    monkeypatch.chdir(GOLDEN)
+    code, out, printed = run_cli(capsys, *[tech if arg == "TECH" else arg for arg in argv])
+    assert (code, out, printed) == (2, "", err + "\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_negative_zero_recovered_fraction_prints_the_bytes_of_zero(fmt, capsys, monkeypatch):
+    # [0, 1] holds -0.0, and 1 - (-0.0) is 1.0, so no sign reaches the report
+    monkeypatch.chdir(GOLDEN)
+    argv = ["energy", "cnot.net", "--input", "10", "--format", fmt, "--recovered-fraction"]
+    assert run_cli(capsys, *argv, "-0.0") == run_cli(capsys, *argv, "0.0")
+
+
 def test_quantum_branches_deterministic(files, capsys):
     path = files("prog.q", "H 0\n")
     code, out, _ = run_cli(capsys, "quantum", path, "--measure", "0")

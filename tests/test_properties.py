@@ -10,7 +10,9 @@ the path of an accumulating reference sampler, every enumerated branch has
 the bytes of a one-branch walk that replays its outcomes and of apply and
 measure called op by op, apply gives the bytes of a moveaxis reference, the
 stack kernel gives each row the bytes of a one-row apply, and measure does
-not depend on the state's scale.
+not depend on the state's scale. Of the quantum verb: its text and JSON
+reports are the bytes of reference renderings that build the JSON-shaped
+report first.
 Of the ledger: every run meets its own bound, and every entry, bound and
 report equals that of a reference copy of the per-stage pricing. Of the
 table, netlist and parameter text formats: format then parse is the
@@ -21,9 +23,12 @@ weight kept. Of the CLI's JSON writer: it prints the bytes of
 json.dumps(indent=2)."""
 
 import ast
+import contextlib
+import io
 import json
 import math
 import random
+import tempfile
 from dataclasses import astuple, fields
 from enum import IntEnum
 from pathlib import Path
@@ -81,15 +86,16 @@ from revlab import (
     run_ledger,
     run_program,
     sample_program,
+    sci6,
     simulate,
     step_states,
     to_truth_table,
     wire_dissipation_per_cycle,
 )
 from revlab.circuits import _column_verdicts
-from revlab.cli import _json
+from revlab.cli import _json, main
 from revlab.quantum import PROB_FLOOR, _apply_rows, _walk
-from revlab.tables import meaningful_lines
+from revlab.tables import bit_string, meaningful_lines
 
 
 def gates(width):
@@ -463,6 +469,73 @@ def test_every_enumerated_branch_has_the_bytes_of_apply_and_measure_alone(progra
                 state = apply(gate_matrix(op.name, op.theta), state, op.qubits)
         assert probability == branch.probability
         assert state.tobytes() == branch.state.tobytes()
+
+
+def reference_quantum_report(branches, n_qubits, entry):
+    """The quantum verb's JSON report built as the CLI once built it for
+    both formats: one dict per amplitude above 1e-9 in magnitude."""
+
+    def payload(branch):
+        state = branch.state
+        shown = (abs(state) > 1e-9).nonzero()[0]
+        parts = zip(shown.tolist(), state.real[shown].tolist(), state.imag[shown].tolist())
+        return {
+            "probability": branch.probability,
+            "outcomes": list(branch.outcomes),
+            "amplitudes": [{"basis": bit_string(i, n_qubits), "re": re, "im": im} for i, re, im in parts],
+        }
+
+    return {
+        "qubits": n_qubits,
+        "branches": [payload(b) for b in branches],
+        "measurement": {"bits": entry.bits, "joules": entry.joules},
+    }
+
+
+def reference_quantum_text(report):
+    """The quantum verb's text report, read back from the JSON report."""
+    lines = []
+    for branch in report["branches"]:
+        history = "".join(map(str, branch["outcomes"])) or "-"
+        lines.append(f"outcome {history} p={branch['probability']:.6f}")
+        for amp in branch["amplitudes"]:
+            lines.append(f"  {amp['basis'] or '-'} {amp['re']:.6f}{amp['im']:+.6f}i")
+    measurement = report["measurement"]
+    if measurement["bits"]:
+        lines.append(
+            f"measurement dissipation: {measurement['bits']} bits, {sci6(measurement['joules'])} J"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def program_text(ops):
+    """The program file of ops; each angle is written as its repr, which
+    parses back to the same float."""
+    return "".join(
+        " ".join([op.name, *([repr(op.theta)] if op.theta is not None else []), *map(str, op.qubits)]) + "\n"
+        for op in ops
+    )
+
+
+@given(programs(max_qubits=7), st.integers(0, 2**32 - 1))
+@example((0, []), 0)  # the empty basis label renders as -
+@example((2, [Op("H", (0,)), Op("RX", (1,), 0.5)]), 0)  # no MEASURE: the history renders as -
+@example((7, _STRADDLE), 0)
+def test_the_quantum_reports_are_the_bytes_of_the_reference_renderings(program, seed):
+    n, ops = program
+    entry = measurement_entry(sum(op.name == "MEASURE" for op in ops), EnergyParams())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "prog.q"
+        path.write_text(program_text(ops))
+        for sample in ([], ["--sample", str(seed)]):
+            branches = [sample_program(ops, seed, n)] if sample else run_program(ops, n)
+            report = reference_quantum_report(branches, n, entry)
+            expected = {"text": reference_quantum_text(report), "json": json.dumps(report, indent=2) + "\n"}
+            for fmt, text in expected.items():
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = main(["quantum", str(path), "--qubits", str(n), "--format", fmt, *sample])
+                assert (code, out.getvalue()) == (0, text)
 
 
 @st.composite
