@@ -30,7 +30,7 @@ from .classify import (
 )
 from .energy import EnergyParams, parse_params
 from .errors import ParseError, RevlabError
-from .quantum import parse_program, program_qubits, run_program, sample_program
+from .quantum import _kept, _walk, parse_program, program_qubits, sample_program
 from .tables import BitWord, TruthTable, bit_string, format_table, invert, is_conservative, is_reversible, meaningful_lines, parse_table
 
 _EPILOG = "Bit strings are most-significant line first: line 0 is the leftmost character."
@@ -150,10 +150,11 @@ def _cmd_quantum(args: argparse.Namespace) -> tuple[int, str | dict]:
     n_qubits = program_qubits(ops, args.qubits)
     measured = sum(1 for op in ops if op.name == "MEASURE")
     entry = measurement_entry(measured, _params_from(args))
+    # each enumerated state is walked as it is rendered, and dropped after
     if args.sample is not None:
         branches = [sample_program(ops, args.sample, n_qubits)]
     else:
-        branches = run_program(ops, n_qubits)
+        branches = _walk(ops, n_qubits, _kept)
     if args.format == "json":
         return 0, {
             "qubits": n_qubits,

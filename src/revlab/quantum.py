@@ -24,7 +24,7 @@ import math
 import random
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -127,8 +127,8 @@ def _operator(matrix: np.ndarray, targets: Sequence[int], n: int) -> tuple[np.nd
 
 
 # Rows per block of branch states. A block's temporaries stay small (256 KiB
-# at 10 qubits), and a MEASURE frees each old block once its rows are
-# projected, so a walk holds little beyond its newest states.
+# at 10 qubits), and a walk goes depth first, one block at a time, so it holds
+# little beyond the blocks on its path.
 _BLOCK = 16
 
 
@@ -176,40 +176,36 @@ class MeasurementOutcome:
     post_state: np.ndarray
 
 
-def _weights(blocks: list[np.ndarray], n: int, qubit: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's squared norm, and its weights where the qubit reads 0 and
-    1, as a (rows,) and a (2, rows) array, rows in block order."""
+def _check_qubit(qubit: int, n: int) -> int:
     if not 0 <= qubit < n:
         raise LineOutOfRange(f"qubit {qubit} out of range for {n} qubit(s)")
+    return qubit
+
+
+def _weights(block: np.ndarray, n: int, qubit: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's squared norm, and its weights where the qubit reads 0 and
+    1, as a (rows,) and a (2, rows) array."""
     # a (2, 2^n) array: row v is true where the qubit reads v
     masks = np.arange(2)[:, None] == (np.arange(1 << n) >> (n - 1 - qubit)) & 1
-    rows = sum(map(len, blocks))
-    totals = np.empty(rows)
-    weights = np.empty((2, rows))
-    a = 0
     with np.errstate(over="ignore"):  # an overflow is reported by _measured
-        for block in blocks:
-            squares = np.abs(block) ** 2
-            b = a + len(block)
-            totals[a:b] = np.sum(squares, axis=1)
-            for value, mask in enumerate(masks):
-                weights[value, a:b] = np.sum(np.where(mask, squares, 0), axis=1)
-            a = b
+        squares = np.abs(block) ** 2
+        totals = np.sum(squares, axis=1)
+        weights = np.array([np.sum(np.where(mask, squares, 0), axis=1) for mask in masks])
     return totals, weights
 
 
-def _measured(blocks: list[np.ndarray], paths: list[tuple[float, tuple[int, ...]]], n: int, qubit: int, keep):
-    """Measure the qubit in every row: each (probability, outcomes) path
-    continues once for every (value, probability) outcome above the floor,
-    value 0 first, that `keep(path probability, outcomes)` returns, in the
-    order returned. Raises for the first row that cannot be measured.
+def _measured(block: np.ndarray, paths: list[tuple[float, tuple[int, ...]]], n: int, qubit: int, keep):
+    """Measure the qubit in every row of a block: each (probability,
+    outcomes) path continues once for every (value, probability) outcome
+    above the floor, value 0 first, that `keep(path probability, outcomes)`
+    returns, in the order returned. Raises for the first row that cannot be
+    measured.
 
-    Returns the new blocks and paths. A new row is its old row's amplitudes
-    where the qubit reads the value, divided by the root of the value's
-    weight, and +0 elsewhere, as dividing a zero would give. Each old block
-    is cleared from `blocks` before the first new block that no longer
-    reads it."""
-    totals, weights = _weights(blocks, n, qubit)
+    Returns each new block, of at most _BLOCK rows, with its paths. A
+    new row is its old row's amplitudes where the qubit reads the value,
+    divided by the root of the value's weight, and +0 elsewhere, as dividing
+    a zero would give."""
+    totals, weights = _weights(block, n, qubit)
     bad = ~np.isfinite(totals) | (totals < sys.float_info.min / PROB_FLOOR)
     if bad.any():
         total = float(totals[bad.argmax()])
@@ -222,18 +218,16 @@ def _measured(blocks: list[np.ndarray], paths: list[tuple[float, tuple[int, ...]
             picks.append((row, value))
             kept.append((probability * p, outcomes + (value,)))
     scale = np.sqrt(weights[[v for _, v in picks], [r for r, _ in picks]])
+    sources = block.reshape(len(block), 1 << qubit, 2, -1)
     out = []
     for a in range(0, len(picks), _BLOCK):
         chunk = picks[a : a + _BLOCK]
-        first = chunk[0][0] // _BLOCK
-        blocks[:first] = [None] * first
         new = np.zeros((len(chunk), 1 << n), dtype=complex)
         halves = new.reshape(len(chunk), 1 << qubit, 2, -1)
         for i, (r, v) in enumerate(chunk):
-            source = blocks[r // _BLOCK][r % _BLOCK].reshape(1 << qubit, 2, -1)
-            np.divide(source[:, v], scale[a + i], out=halves[i, :, v])
-        out.append(new)
-    return out, kept
+            np.divide(sources[r, :, v], scale[a + i], out=halves[i, :, v])
+        out.append((new, kept[a : a + _BLOCK]))
+    return out
 
 
 def measure(state: np.ndarray, qubit: int) -> list[MeasurementOutcome]:
@@ -245,7 +239,7 @@ def measure(state: np.ndarray, qubit: int) -> list[MeasurementOutcome]:
     """
     vec, n = _check_state(state)
     # the probabilities sum to about 1, so one or two rows: one new block
-    (posts,), paths = _measured([vec[None]], [(1.0, ())], n, qubit, lambda _p, results: results)
+    ((posts, paths),) = _measured(vec[None], [(1.0, ())], n, _check_qubit(qubit, n), lambda _p, results: results)
     return [MeasurementOutcome(v, p, post) for (p, (v,)), post in zip(paths, posts)]
 
 
@@ -312,32 +306,45 @@ def program_qubits(ops: Sequence[Op], n_qubits: int | None = None) -> int:
     return n_qubits
 
 
-def _walk(ops: Sequence[Op], n_qubits: int | None, keep) -> list[Branch]:
-    """Run from the all-zero state, applying each gate to every branch. At a
-    MEASURE each branch continues once for every (value, probability)
+def _walk(ops: Sequence[Op], n_qubits: int | None, keep) -> Iterator[Branch]:
+    """Run from the all-zero state, yielding each branch in outcome order. At
+    a MEASURE each branch continues once for every (value, probability)
     outcome that `keep(path probability, outcomes)` returns, in the order
     returned.
 
-    The branch states are the rows of blocks of at most _BLOCK rows, so each
-    op runs once per block, and a MEASURE frees each old block as soon as it
-    has built the new rows that come from it."""
+    Every op is checked before the first runs. The walk then goes depth
+    first over a stack of (next op, block, paths): a block of at most _BLOCK
+    rows runs its gates up to the next MEASURE, whose new blocks are pushed
+    so that the first runs first. A row's bytes do not depend on its
+    block-mates, so each branch has the bytes it would have in any block, and
+    only the blocks on one path of the walk are alive at a time."""
     n = program_qubits(ops, n_qubits)
-    blocks = [np.zeros((1, 1 << n), dtype=complex)]
-    blocks[0][0, 0] = 1.0
-    paths = [(1.0, ())]
+    steps = []  # a qubit to measure, or a gate's operator and targets
     for op in ops:
-        if op.name == "MEASURE":
-            if op.theta is not None:
-                raise ValueError("MEASURE takes no angle")
-            if len(op.qubits) != 1:
-                raise DimensionMismatch(f"MEASURE takes 1 qubit, got {op.qubits}")
-            blocks, paths = _measured(blocks, paths, n, op.qubits[0], keep)
+        if op.name != "MEASURE":
+            steps.append(_operator(gate_matrix(op.name, op.theta), op.qubits, n))
+        elif op.theta is not None:
+            raise ValueError("MEASURE takes no angle")
+        elif len(op.qubits) != 1:
+            raise DimensionMismatch(f"MEASURE takes 1 qubit, got {op.qubits}")
         else:
-            m, targets = _operator(gate_matrix(op.name, op.theta), op.qubits, n)
-            for block in blocks:
-                _apply_rows(m, block, n, targets)
-    states = (row for block in blocks for row in block)
-    return [Branch(p, outcomes, state) for (p, outcomes), state in zip(paths, states)]
+            steps.append(_check_qubit(op.qubits[0], n))
+    stack = [(0, np.eye(1, 1 << n, dtype=complex), [(1.0, ())])]
+    while stack:
+        i, block, paths = stack.pop()
+        while i < len(steps) and isinstance(steps[i], tuple):
+            m, targets = steps[i]
+            _apply_rows(m, block, n, targets)
+            i += 1
+        if i == len(steps):
+            yield from (Branch(p, outcomes, state) for (p, outcomes), state in zip(paths, block))
+        else:
+            stack.extend((i + 1, *new) for new in reversed(_measured(block, paths, n, steps[i], keep)))
+
+
+def _kept(probability: float, results: list[tuple[int, float]]) -> list[tuple[int, float]]:
+    """run_program's keep-policy: the outcomes whose path stays above the floor."""
+    return [(v, q) for v, q in results if probability * q > PROB_FLOOR]
 
 
 def run_program(ops: Sequence[Op], n_qubits: int | None = None) -> list[Branch]:
@@ -346,9 +353,7 @@ def run_program(ops: Sequence[Op], n_qubits: int | None = None) -> list[Branch]:
     Branches are ordered by outcome history, value 0 explored first; paths
     whose probability falls below the floor are dropped.
     """
-    return _walk(
-        ops, n_qubits, lambda p, results: [(v, q) for v, q in results if p * q > PROB_FLOOR]
-    )
+    return list(_walk(ops, n_qubits, _kept))
 
 
 def sample_program(
@@ -358,8 +363,6 @@ def sample_program(
     generator. Returns that path as a branch with its realized probability."""
     rng = random.Random(seed)
     # measure gives one or two outcomes, value 0 first: one draw picks between them
-    return _walk(
-        ops,
-        n_qubits,
-        lambda _p, results: results[:1] if rng.random() < results[0][1] else results[-1:],
-    )[0]
+    return next(
+        _walk(ops, n_qubits, lambda _p, results: results[:1] if rng.random() < results[0][1] else results[-1:])
+    )

@@ -6,6 +6,7 @@ import random
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -424,19 +425,52 @@ def test_quantum_negative_qubit_count_is_a_usage_error(files, capsys):
     assert err == "quantum: qubit count must be non-negative, got -1\n"
 
 
+# 1024 branches: H on 10 qubits, then RX and MEASURE on each
+WIDE_PROGRAM = "".join(f"H {q}\n" for q in range(10)) + "".join(f"RX 1.1 {q}\nMEASURE {q}\n" for q in range(10))
+
+
 @pytest.mark.parametrize("sample", [[], ["--sample", "1"]], ids=["all", "sample"])
 def test_quantum_rejects_a_bad_temperature_before_it_walks(files, capsys, monkeypatch, sample):
     def walk(*_args):
         pytest.fail("the program was walked before --temp was checked")
 
-    monkeypatch.setattr("revlab.cli.run_program", walk)
+    # the two walks the CLI calls: the enumerating one and sample_program
+    monkeypatch.setattr("revlab.cli._walk", walk)
     monkeypatch.setattr("revlab.cli.sample_program", walk)
-    # 1024 branches: H on 10 qubits, then RX and MEASURE on each
-    text = "".join(f"H {q}\n" for q in range(10)) + "".join(f"RX 1.1 {q}\nMEASURE {q}\n" for q in range(10))
-    path = files("wide.q", text)
+    path = files("wide.q", WIDE_PROGRAM)
     code, out, err = run_cli(capsys, "quantum", path, "--temp", "nan", *sample)
     assert (code, out) == (2, "")
     assert err == "quantum: T must be finite and non-negative, got nan\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_quantum_renders_each_branch_as_it_is_walked(files, capsys, fmt):
+    # The 1024 final states take 16 MiB together. Rendered as they are walked,
+    # only the blocks on one path of the walk are alive at a time.
+    path = files("wide.q", WIDE_PROGRAM)
+    tracemalloc.start()
+    try:
+        code = main(["quantum", path, "--format", fmt])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.count('"probability"' if fmt == "json" else "outcome ") == 1024
+    assert peak < 0.5 * 1024 * (1 << 10) * 16
+
+
+@pytest.mark.parametrize("sample", [[], ["--sample", "1"]], ids=["all", "sample"])
+def test_quantum_walks_a_deep_program(files, capsys, sample):
+    # 3000 MEASUREs on one branch each, deeper than Python's recursion limit
+    path = files("deep.q", "H 0\n" + "MEASURE 0\n" * 3000)
+    code, out, err = run_cli(capsys, "quantum", path, *sample)
+    assert (code, err) == (0, "")
+    outcomes = [line for line in out.splitlines() if line.startswith("outcome ")]
+    if sample:
+        assert outcomes in ([f"outcome {'0' * 3000} p=0.500000"], [f"outcome {'1' * 3000} p=0.500000"])
+    else:
+        assert outcomes == [f"outcome {'0' * 3000} p=0.500000", f"outcome {'1' * 3000} p=0.500000"]
 
 
 @pytest.mark.parametrize(

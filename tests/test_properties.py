@@ -402,7 +402,7 @@ def reference_sample_program(ops, seed, n_qubits=None):
                 return [(value, probability)]
         return results[-1:]
 
-    return _walk(ops, n_qubits, pick)[0]
+    return next(_walk(ops, n_qubits, pick))
 
 
 @given(programs(), st.integers(0, 2**32 - 1))
@@ -447,7 +447,7 @@ def test_every_enumerated_branch_has_the_bytes_of_its_own_walk(program):
         assert alone.state.tobytes() == branch.state.tobytes()
     # a keep-policy that keeps nothing leaves an empty stack for the later ops
     measured = any(op.name == "MEASURE" for op in ops)
-    assert len(_walk(ops, n, lambda _p, _results: [])) == (0 if measured else 1)
+    assert len(list(_walk(ops, n, lambda _p, _results: []))) == (0 if measured else 1)
 
 
 @given(programs(max_qubits=7))

@@ -33,7 +33,7 @@ from revlab import (
     to_truth_table,
 )
 from revlab import BitWord, CNOT, TOFFOLI
-from revlab.quantum import program_qubits
+from revlab.quantum import _walk, program_qubits
 
 
 def _random_state(rng, n):
@@ -322,11 +322,34 @@ def test_program_qubit_counting():
         # what a gate op with the same faults raises
         (Op("H", (0, 1)), DimensionMismatch),
         (Op("H", (0,), 2.5), ValueError),
+        # placed after a MEASURE too, as every op is, below
+        (Op("MEASURE", (0,), 0.5), ValueError),
+        (Op("IZZ", (1, 1), 0.3), DimensionMismatch),
     ],
 )
 def test_run_program_rejects_a_malformed_op(op, error):
-    with pytest.raises(error):
+    with pytest.raises(error) as first:
         run_program((Op("H", (0,)), Op("H", (1,)), op), 2)
+    # A depth-first walk checks every op before it runs a branch, so an op
+    # after a MEASURE raises the same, even in a walk that keeps no outcome.
+    ops = (Op("H", (0,)), Op("MEASURE", (0,)), op)
+    for walk in (run_program, lambda ops, n: sample_program(ops, 1, n), lambda ops, n: list(_walk(ops, n, lambda _p, _r: []))):
+        with pytest.raises(error) as raised:
+            walk(ops, 2)
+        assert str(raised.value) == str(first.value)
+
+
+def test_a_deep_program_walks_without_recursion():
+    # 3000 MEASUREs on one branch each: a walk that recursed once per MEASURE
+    # would pass Python's default recursion limit
+    ops = (Op("H", (0,)),) + (Op("MEASURE", (0,)),) * 3000
+    branches = run_program(ops)
+    assert [b.outcomes for b in branches] == [(0,) * 3000, (1,) * 3000]
+    assert [f"{b.probability:.6f}" for b in branches] == ["0.500000", "0.500000"]
+    for seed in range(4):
+        path = sample_program(ops, seed)
+        assert path.outcomes in {(0,) * 3000, (1,) * 3000}
+        assert f"{path.probability:.6f}" == "0.500000"
 
 
 def test_run_program_splits_on_measurement():
