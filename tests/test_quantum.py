@@ -322,9 +322,10 @@ def test_program_qubit_counting():
         # what a gate op with the same faults raises
         (Op("H", (0, 1)), DimensionMismatch),
         (Op("H", (0,), 2.5), ValueError),
-        # placed after a MEASURE too, as every op is, below
+        # each op is also run after a MEASURE, below
         (Op("MEASURE", (0,), 0.5), ValueError),
         (Op("IZZ", (1, 1), 0.3), DimensionMismatch),
+        (Op("MEASURE", (-1,)), LineOutOfRange),
     ],
 )
 def test_run_program_rejects_a_malformed_op(op, error):
