@@ -282,7 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_SCALARS = (str, int, float, bool, type(None))
+_SCALARS = frozenset((str, int, float, bool, type(None)))
 
 
 def _json(value: object, indent: str = "\n") -> str:
@@ -299,7 +299,7 @@ def _json(value: object, indent: str = "\n") -> str:
     if type(value) is dict and value and all(type(key) is str for key in value):
         items = (f"{json.dumps(key)}: {_json(item, inner)}" for key, item in value.items())
         return "{" + inner + f",{inner}".join(items) + indent + "}"
-    if type(value) in (list, tuple) and value and all(type(item) in _SCALARS for item in value):
+    if type(value) in (list, tuple) and value and _SCALARS.issuperset(map(type, value)):
         return "[" + inner + json.dumps(value, separators=(f",{inner}", ": "))[1:-1] + indent + "]"
     return json.dumps(value, indent=2).replace("\n", indent)
 

@@ -136,21 +136,15 @@ def _apply_rows(m: np.ndarray, stack: np.ndarray, n: int, targets: tuple[int, ..
     """Apply m to the target qubits of every row of a (rows, 2^n) stack, in
     place.
 
-    Each block of rows is viewed as (rows, 2, ..., 2), one axis per qubit
-    after the row axis, and transposed to the target axes in matrix order,
-    then the row axis, then the other qubits in qubit order. One product
-    serves the block, each row gets the columns a one-row stack would give
-    it, in the same order, and the product is written back through the
-    transposed view.
+    Each row is viewed as a (2^k, 2^(n-k)) matrix for its k targets, the
+    targets in matrix order, then the other qubits in qubit order. One
+    batched product multiplies each row's matrix by m, so each row gets the
+    bytes it would get alone, and is written back through the transposed
+    view.
     """
-    k = len(targets)
-    order = [*(1 + t for t in targets), 0, *(1 + q for q in range(n) if q not in targets)]
-    # With at most one qubit left over, BLAS takes another inner loop for a
-    # product over several rows than for one row, and the last bits differ.
-    step = _BLOCK if n - k >= 2 else 1
-    for a in range(0, len(stack), step):
-        x = stack[a : a + step].reshape(-1, *(2,) * n).transpose(order)
-        x[...] = (m @ x.reshape(1 << k, -1)).reshape(x.shape)
+    order = [0, *(1 + t for t in targets), *(1 + q for q in range(n) if q not in targets)]
+    x = stack.reshape(-1, *(2,) * n).transpose(order)
+    x[...] = (m @ x.reshape(len(stack), len(m), -1)).reshape(x.shape)
 
 
 def apply(matrix: np.ndarray, state: np.ndarray, targets: Sequence[int]) -> np.ndarray:

@@ -617,11 +617,14 @@ def stack_cases(draw):
 
 
 @given(stack_cases())
-# shapes with at most one qubit left over, where a product over several rows
-# differs from one row by row in the last bits
+# shapes with at most one qubit left over, where a product merged over the
+# rows' columns would differ from the one-row product in the last bits: these
+# examples guard against a kernel that merges them, within a block and beyond
 @example((gate_matrix("RX", 0.7), spiral(5, 1), 1, (0,)))
 @example((gate_matrix("RX", 0.7), spiral(5, 2), 2, (1,)))
 @example((gate_matrix("IZZ", 1.3), spiral(5, 3), 3, (2, 0)))
+@example((gate_matrix("RX", 0.7), spiral(20, 2), 2, (1,)))
+@example((gate_matrix("IZZ", 1.3), spiral(20, 2), 2, (1, 0)))
 # the widest state, over a block edge, with targets out of order under a
 # matrix that a swap of its targets changes
 @example((np.kron(gate_matrix("H"), gate_matrix("RX", 0.7)), spiral(20, 10), 10, (9, 0)))
