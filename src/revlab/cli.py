@@ -49,13 +49,6 @@ def _load_any(path: str) -> TruthTable | Circuit:
     raise ParseError(f"expected a 'table' or 'lines' header, got {head!r}")
 
 
-def _load_circuit(path: str) -> Circuit:
-    loaded = _load_any(path)
-    if isinstance(loaded, TruthTable):
-        raise ParseError(f"{path}: this command needs a circuit netlist, not a table")
-    return loaded
-
-
 def _yn(flag: bool) -> str:
     return "yes" if flag else "no"
 
@@ -110,27 +103,23 @@ def _cmd_dualrail(args: argparse.Namespace) -> tuple[int, str | dict]:
     return 0, format_table(embedded)
 
 
+def _fields(args: argparse.Namespace, record: type) -> dict:
+    """The fields of a record type that the parsed flags set: each flag's
+    dest is the name of the field it sets, and an unset one is None."""
+    return {f.name: getattr(args, f.name) for f in dataclasses.fields(record) if getattr(args, f.name, None) is not None}
+
+
 def _params_from(args: argparse.Namespace) -> EnergyParams:
     params = parse_params(Path(args.tech).read_text()) if args.tech is not None else EnergyParams()
-    overrides = {"T": args.temp, "f": args.freq}
-    return dataclasses.replace(params, **{k: v for k, v in overrides.items() if v is not None})
+    return dataclasses.replace(params, **_fields(args, EnergyParams))
 
 
 def _cmd_energy(args: argparse.Namespace) -> tuple[int, str | dict]:
-    circuit = _load_circuit(args.file)
+    circuit = _load_any(args.file)
+    if isinstance(circuit, TruthTable):
+        raise ParseError(f"{args.file}: this command needs a circuit netlist, not a table")
     params = _params_from(args)
-    profile = SystemProfile(
-        environment=Environment.CLOSED if args.closed else Environment.TRANSFER,
-        control_style=(
-            ControlStyle.CYCLIC_TAG_REVERSIBLE
-            if args.cyclic_tag
-            else ControlStyle.EXTERNAL_IRREVERSIBLE
-        ),
-        ideal_transmission=args.ideal_wires,
-        instruction_bits=args.instruction_bits,
-        recovered_fraction=args.recovered_fraction,
-        reconfiguration_units=args.reconfig_units,
-    )
+    profile = SystemProfile(**_fields(args, SystemProfile))
     ledger = run_ledger(circuit, BitWord.from_string(args.input), profile, params)
     render = ledger_dict if args.format == "json" else format_ledger
     return 0, render(ledger, params)
@@ -178,44 +167,10 @@ def _cmd_quantum(args: argparse.Namespace) -> tuple[int, str | dict]:
 
 
 def _cmd_classify(args: argparse.Namespace) -> tuple[int, str | dict]:
-    level = classify(
-        SystemProfile(
-            logical_reversible_components=args.logical_reversible,
-            software_tracked_only=args.software_tracked,
-            energy_conservative_components=args.energy_conservative,
-            ideal_transmission=args.ideal_transmission,
-        )
-    )
+    level = classify(SystemProfile(**_fields(args, SystemProfile)))
     if args.format == "json":
         return 0, {"level": level.name, "rank": int(level)}
     return 0, f"level: {level.name}\n"
-
-
-def _add_profile_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--closed", action="store_true", help="run sealed inside a closed system")
-    sub.add_argument("--ideal-wires", action="store_true", help="no interconnect loss")
-    sub.add_argument("--cyclic-tag", action="store_true", help="reversible circulating-tag control")
-    sub.add_argument(
-        "--recovered-fraction",
-        type=float,
-        default=0.0,
-        metavar="R",
-        help="fraction of overwrite energy recovered, 0 to 1",
-    )
-    sub.add_argument(
-        "--instruction-bits",
-        type=int,
-        default=0,
-        metavar="N",
-        help="control word bits consumed per gate",
-    )
-    sub.add_argument(
-        "--reconfig-units",
-        type=float,
-        default=1.0,
-        metavar="U",
-        help="per-bit cost multiplier for closed-system input setting",
-    )
 
 
 # parse_args leaves the parser as it was and gives each call a fresh
@@ -250,9 +205,47 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("file", help="netlist file")
     sub.add_argument("--input", required=True, metavar="BITS", help="free input bits")
     sub.add_argument("--tech", metavar="FILE", help="technology parameter file")
-    sub.add_argument("--temp", type=float, metavar="K", help="override temperature")
-    sub.add_argument("--freq", type=float, metavar="HZ", help="override clock frequency")
-    _add_profile_flags(sub)
+    sub.add_argument("--temp", dest="T", type=float, metavar="K", help="override temperature")
+    sub.add_argument("--freq", dest="f", type=float, metavar="HZ", help="override clock frequency")
+    sub.add_argument(
+        "--closed",
+        dest="environment",
+        action="store_const",
+        const=Environment.CLOSED,
+        default=Environment.TRANSFER,
+        help="run sealed inside a closed system",
+    )
+    sub.add_argument("--ideal-wires", dest="ideal_transmission", action="store_true", help="no interconnect loss")
+    sub.add_argument(
+        "--cyclic-tag",
+        dest="control_style",
+        action="store_const",
+        const=ControlStyle.CYCLIC_TAG_REVERSIBLE,
+        default=ControlStyle.EXTERNAL_IRREVERSIBLE,
+        help="reversible circulating-tag control",
+    )
+    sub.add_argument(
+        "--recovered-fraction",
+        type=float,
+        default=0.0,
+        metavar="R",
+        help="fraction of overwrite energy recovered, 0 to 1",
+    )
+    sub.add_argument(
+        "--instruction-bits",
+        type=int,
+        default=0,
+        metavar="N",
+        help="control word bits consumed per gate",
+    )
+    sub.add_argument(
+        "--reconfig-units",
+        dest="reconfiguration_units",
+        type=float,
+        default=1.0,
+        metavar="U",
+        help="per-bit cost multiplier for closed-system input setting",
+    )
     sub.set_defaults(handler=_cmd_energy)
 
     sub = subs.add_parser("quantum", parents=[common], help="run a gate program")
@@ -266,15 +259,16 @@ def _build_parser() -> argparse.ArgumentParser:
         help="append a measurement of qubit Q (repeatable)",
     )
     sub.add_argument("--sample", type=int, metavar="SEED", help="sample one path instead of enumerating branches")
-    sub.add_argument("--temp", type=float, metavar="K", help="temperature for measurement dissipation")
+    sub.add_argument("--temp", dest="T", type=float, metavar="K", help="temperature for measurement dissipation")
     # measurement is priced with the default technology, at --temp if given
-    sub.set_defaults(handler=_cmd_quantum, tech=None, freq=None)
+    sub.set_defaults(handler=_cmd_quantum, tech=None)
 
     sub = subs.add_parser("classify", parents=[common], help="reversibility level of a profile")
-    sub.add_argument("--software-tracked", action="store_true", help="history kept by software only")
-    sub.add_argument("--logical-reversible", action="store_true", help="components step bijectively")
-    sub.add_argument("--energy-conservative", action="store_true", help="component energy recovered")
+    sub.add_argument("--software-tracked", dest="software_tracked_only", action="store_true", help="history kept by software only")
+    sub.add_argument("--logical-reversible", dest="logical_reversible_components", action="store_true", help="components step bijectively")
+    sub.add_argument("--energy-conservative", dest="energy_conservative_components", action="store_true", help="component energy recovered")
     sub.add_argument("--ideal-transmission", action="store_true", help="lossless links between parts")
+    # these two dests name no profile field, so the level rests on the four above
     sub.add_argument("--closed", action="store_true", help="sealed environment; does not change the level")
     sub.add_argument("--cyclic-tag", action="store_true", help="circulating-tag control; does not change the level")
     sub.set_defaults(handler=_cmd_classify)

@@ -281,11 +281,14 @@ def _normalised(in_width: int, out_width: int, lines: Iterator[str]) -> str:
         parts = line.split("->")
         if len(parts) != 2:
             raise ParseError(f"expected 'bits -> bits', got {line!r}")
-        src, dst = bit_digits(parts[0]), bit_digits(parts[1])
+        try:
+            src, dst = bit_digits(parts[0]), bit_digits(parts[1])
+        except ParseError as exc:
+            raise ParseError(f"{exc} in {line!r}") from exc
         if len(src) != in_width or len(dst) != out_width:
             raise ParseError(f"row {line!r} does not match table widths")
         if src in seen:
-            raise ParseError(f"input {src} listed twice")
+            raise ParseError(f"input {src} listed twice in {line!r}")
         seen.add(src)
         body.append(f"{src} -> {dst}\n")
     missing = (1 << in_width) - len(seen)

@@ -339,6 +339,8 @@ def test_a_gate_line_error_names_its_line(gate_line, message):
         (parse_circuit, "lines 2\nancilla 0 2\n", "ancilla constant must be 0 or 1, got 2 in 'ancilla 0 2'"),
         (parse_circuit, "lines -1\n", "line count must be non-negative in 'lines -1'"),
         (parse_table, "table 17 2\n", "table widths must be in 0..16 in 'table 17 2'"),
+        (parse_table, "table 1 2\n0x -> 01\n1 -> 10\n", "bad bit string '0x' in '0x -> 01'"),
+        (parse_table, "table 2 2\n00 -> 01\n00 -> 01\n", "input 00 listed twice in '00 -> 01'"),
         (parse_params, "T = -1\n", "T must be finite and non-negative, got -1.0 in 'T = -1'"),
         (
             parse_params,

@@ -883,12 +883,15 @@ def reference_parse_table(text):
         parts = line.split("->")
         if len(parts) != 2:
             raise ParseError(f"expected 'bits -> bits', got {line!r}")
-        src = word(parts[0])
-        dst = word(parts[1])
+        try:
+            src = word(parts[0])
+            dst = word(parts[1])
+        except ParseError as exc:
+            raise ParseError(f"{exc} in {line!r}") from exc
         if src.width != in_width or dst.width != out_width:
             raise ParseError(f"row {line!r} does not match table widths")
         if src.value in rows:
-            raise ParseError(f"input {src} listed twice")
+            raise ParseError(f"input {src} listed twice in {line!r}")
         rows[src.value] = dst.value
     missing = (1 << in_width) - len(rows)
     if missing:
