@@ -26,7 +26,7 @@ from types import MappingProxyType
 from typing import Iterator, Mapping
 
 from .errors import LineOutOfRange, NotReversible, ParseError, TooWide, WidthMismatch
-from .tables import MAX_WIDTH, BitWord, TruthTable, _column_values, _digit_columns, is_reversible, meaningful_lines, parse_int
+from .tables import MAX_WIDTH, BitWord, TruthTable, _check_int, _column_values, _digit_columns, is_reversible, meaningful_lines, parse_int
 
 
 class GateKind(Enum):
@@ -112,6 +112,7 @@ class Circuit:
     garbage: frozenset[int] = frozenset()
 
     def __post_init__(self) -> None:
+        _check_int("width", self.width)
         if self.width < 0:
             raise ValueError("width must be non-negative")
         object.__setattr__(self, "gates", tuple(self.gates))
@@ -122,11 +123,14 @@ class Circuit:
         for gate in self.gates:
             _check_width(gate, self.width)
         for line, bit in self.ancillas.items():
+            _check_int("ancilla line", line)
+            _check_int("ancilla constant", bit)
             if not 0 <= line < self.width:
                 raise LineOutOfRange(f"ancilla line {line} exceeds width {self.width}")
             if bit not in (0, 1):
                 raise ValueError(f"ancilla constant must be 0 or 1, got {bit}")
         for line in self.garbage:
+            _check_int("garbage line", line)
             if not 0 <= line < self.width:
                 raise LineOutOfRange(f"garbage line {line} exceeds width {self.width}")
 

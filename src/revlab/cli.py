@@ -133,9 +133,8 @@ def _amplitudes(state) -> Iterator[tuple[int, float, float]]:
 
 
 def _cmd_quantum(args: argparse.Namespace) -> tuple[int, str | dict]:
-    ops = list(parse_program(Path(args.file).read_text()))
-    for qubit in args.measure or []:
-        ops.extend(parse_program(f"MEASURE {qubit}"))
+    # each appended MEASURE starts a new line, whatever ends the file
+    ops = parse_program(Path(args.file).read_text() + "".join(f"\nMEASURE {q}" for q in args.measure or ()))
     n_qubits = program_qubits(ops, args.qubits)
     measured = sum(1 for op in ops if op.name == "MEASURE")
     entry = measurement_entry(measured, _params_from(args))
@@ -178,32 +177,26 @@ def _cmd_classify(args: argparse.Namespace) -> tuple[int, str | dict]:
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="revlab", description=__doc__, epilog=_EPILOG)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("text", "json"), default="text", help="output format"
-    )
     subs = parser.add_subparsers(dest="verb", required=True, metavar="verb")
+    # each verb's name, help, file argument help (classify reads no file) and handler
+    for verb, about, file_help, handler in (
+        ("check", "reversibility and conservativity verdicts", "table or netlist file", _cmd_check),
+        ("sim", "run one input word", "table or netlist file", _cmd_sim),
+        ("invert", "emit the inverse table or circuit", "table or netlist file", _cmd_invert),
+        ("dualrail", "conservative two-rail embedding", "table or netlist file with a bijective table", _cmd_dualrail),
+        ("energy", "per-run dissipation ledger", "netlist file", _cmd_energy),
+        ("quantum", "run a gate program", "program file", _cmd_quantum),
+        ("classify", "reversibility level of a profile", None, _cmd_classify),
+    ):
+        sub = subs.add_parser(verb, help=about)
+        sub.add_argument("--format", choices=("text", "json"), default="text", help="output format")
+        if file_help:
+            sub.add_argument("file", help=file_help)
+        sub.set_defaults(handler=handler)
+    for verb in ("sim", "energy"):
+        subs.choices[verb].add_argument("--input", required=True, metavar="BITS", help="free input bits")
 
-    sub = subs.add_parser("check", parents=[common], help="reversibility and conservativity verdicts")
-    sub.add_argument("file", help="table or netlist file")
-    sub.set_defaults(handler=_cmd_check)
-
-    sub = subs.add_parser("sim", parents=[common], help="run one input word")
-    sub.add_argument("file", help="table or netlist file")
-    sub.add_argument("--input", required=True, metavar="BITS", help="free input bits")
-    sub.set_defaults(handler=_cmd_sim)
-
-    sub = subs.add_parser("invert", parents=[common], help="emit the inverse table or circuit")
-    sub.add_argument("file", help="table or netlist file")
-    sub.set_defaults(handler=_cmd_invert)
-
-    sub = subs.add_parser("dualrail", parents=[common], help="conservative two-rail embedding")
-    sub.add_argument("file", help="table or netlist file with a bijective table")
-    sub.set_defaults(handler=_cmd_dualrail)
-
-    sub = subs.add_parser("energy", parents=[common], help="per-run dissipation ledger")
-    sub.add_argument("file", help="netlist file")
-    sub.add_argument("--input", required=True, metavar="BITS", help="free input bits")
+    sub = subs.choices["energy"]
     sub.add_argument("--tech", metavar="FILE", help="technology parameter file")
     sub.add_argument("--temp", dest="T", type=float, metavar="K", help="override temperature")
     sub.add_argument("--freq", dest="f", type=float, metavar="HZ", help="override clock frequency")
@@ -212,7 +205,6 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="environment",
         action="store_const",
         const=Environment.CLOSED,
-        default=Environment.TRANSFER,
         help="run sealed inside a closed system",
     )
     sub.add_argument("--ideal-wires", dest="ideal_transmission", action="store_true", help="no interconnect loss")
@@ -221,20 +213,17 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="control_style",
         action="store_const",
         const=ControlStyle.CYCLIC_TAG_REVERSIBLE,
-        default=ControlStyle.EXTERNAL_IRREVERSIBLE,
         help="reversible circulating-tag control",
     )
     sub.add_argument(
         "--recovered-fraction",
         type=float,
-        default=0.0,
         metavar="R",
         help="fraction of overwrite energy recovered, 0 to 1",
     )
     sub.add_argument(
         "--instruction-bits",
         type=int,
-        default=0,
         metavar="N",
         help="control word bits consumed per gate",
     )
@@ -242,14 +231,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--reconfig-units",
         dest="reconfiguration_units",
         type=float,
-        default=1.0,
         metavar="U",
         help="per-bit cost multiplier for closed-system input setting",
     )
-    sub.set_defaults(handler=_cmd_energy)
 
-    sub = subs.add_parser("quantum", parents=[common], help="run a gate program")
-    sub.add_argument("file", help="program file")
+    sub = subs.choices["quantum"]
     sub.add_argument("--qubits", type=int, metavar="N", help="qubit count (default: inferred)")
     sub.add_argument(
         "--measure",
@@ -261,9 +247,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--sample", type=int, metavar="SEED", help="sample one path instead of enumerating branches")
     sub.add_argument("--temp", dest="T", type=float, metavar="K", help="temperature for measurement dissipation")
     # measurement is priced with the default technology, at --temp if given
-    sub.set_defaults(handler=_cmd_quantum, tech=None)
+    sub.set_defaults(tech=None)
 
-    sub = subs.add_parser("classify", parents=[common], help="reversibility level of a profile")
+    sub = subs.choices["classify"]
     sub.add_argument("--software-tracked", dest="software_tracked_only", action="store_true", help="history kept by software only")
     sub.add_argument("--logical-reversible", dest="logical_reversible_components", action="store_true", help="components step bijectively")
     sub.add_argument("--energy-conservative", dest="energy_conservative_components", action="store_true", help="component energy recovered")
@@ -271,7 +257,6 @@ def _build_parser() -> argparse.ArgumentParser:
     # these two dests name no profile field, so the level rests on the four above
     sub.add_argument("--closed", action="store_true", help="sealed environment; does not change the level")
     sub.add_argument("--cyclic-tag", action="store_true", help="circulating-tag control; does not change the level")
-    sub.set_defaults(handler=_cmd_classify)
 
     return parser
 

@@ -36,6 +36,8 @@ class BitWord:
     value: int
 
     def __post_init__(self) -> None:
+        _check_int("width", self.width)
+        _check_int("value", self.value)
         if self.width < 0:
             raise ValueError(f"width must be non-negative, got {self.width}")
         if not 0 <= self.value < (1 << self.width):
@@ -59,6 +61,13 @@ class BitWord:
     def from_string(cls, bits: str) -> BitWord:
         bits = bit_digits(bits)
         return cls(len(bits), int(bits or "0", 2))
+
+
+def _check_int(name: str, value: object) -> None:
+    """Hold a record's integer field to an int that is not a bool: a bool
+    would be written out as True or False, which no text format reads."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
 
 
 def bit_digits(token: str) -> str:
@@ -90,6 +99,8 @@ class TruthTable:
     rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        _check_int("in_width", self.in_width)
+        _check_int("out_width", self.out_width)
         if not 0 <= self.in_width <= MAX_WIDTH:
             raise ValueError(f"in_width must be in 0..{MAX_WIDTH}")
         if not 0 <= self.out_width <= MAX_WIDTH:

@@ -24,6 +24,7 @@ from revlab import (
     Level,
     Stage,
     SystemProfile,
+    TruthTable,
     WidthMismatch,
     check_bound,
     classify,
@@ -122,6 +123,16 @@ def test_a_profile_checks_the_type_of_each_flag_and_number(field, value):
         (EnergyParams, {"T": "300"}, "T"),  # compared, it would raise TypeError
         (LedgerEntry, {"stage": Stage.COMPUTE, "bits": 0, "joules": True}, "COMPUTE joules"),
         (LedgerEntry, {"stage": Stage.COMPUTE, "bits": 0, "joules": "1"}, "COMPUTE joules"),
+        # format_* would write these as True or False, and no parser reads that
+        (BitWord, {"width": True, "value": 1}, "width"),  # str() would raise
+        (BitWord, {"width": 1, "value": True}, "value"),
+        (BitWord, {"width": "3", "value": 1}, "width"),  # compared, it would raise TypeError
+        (TruthTable, {"in_width": True, "out_width": 1, "rows": (1, 0)}, "in_width"),
+        (TruthTable, {"in_width": 1, "out_width": True, "rows": (1, 0)}, "out_width"),
+        (Circuit, {"width": True}, "width"),
+        (Circuit, {"width": 3, "ancillas": {True: 0}}, "ancilla line"),
+        (Circuit, {"width": 3, "ancillas": {2: True}}, "ancilla constant"),
+        (Circuit, {"width": 3, "garbage": {False}}, "garbage line"),
     ],
 )
 def test_a_record_rejects_a_bool_or_a_string_where_a_number_goes(record, values, field):

@@ -356,6 +356,18 @@ def test_quantum_branches_deterministic(files, capsys):
     assert again == out
 
 
+@pytest.mark.parametrize("body", ["H 0\nRX 1.2 1", "H 0\nRX 1.2 1 # rotate", "H 0\nRX 1.2 1\r"], ids=["no-newline", "comment", "cr"])
+def test_quantum_measure_flags_start_their_own_lines(body, files, capsys):
+    """--measure appends each step on a line of its own, however the file
+    ends: it prints what the file with those steps written out prints."""
+    flagged = run_cli(capsys, "quantum", files("prog.q", body), "--measure", "0", "--measure", "1")
+    written = run_cli(capsys, "quantum", files("written.q", body + "\nMEASURE 0\nMEASURE 1\n"))
+    assert flagged[0] == 0
+    assert flagged == written
+    negative = run_cli(capsys, "quantum", files("prog.q", body), "--measure", "-1")
+    assert negative == (2, "", "quantum: negative qubit index in 'MEASURE -1'\n")
+
+
 def test_quantum_no_measurement_single_branch(files, capsys):
     path = files("prog.q", "H 0\n")
     code, out, _ = run_cli(capsys, "quantum", path)
@@ -626,6 +638,22 @@ def test_one_parser_serves_every_call_in_a_process(capsys, monkeypatch):
 
 
 VERBS = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+HELP_SNAPSHOT = Path(__file__).parent / "help_snapshot.txt"
+
+
+def test_every_help_output_matches_its_snapshot(capsys, monkeypatch):
+    """`revlab --help` and each verb's `--help`, wrapped at 80 columns, print
+    the committed snapshot byte for byte."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to COLUMNS, else to the terminal
+    printed = []
+    for argv in [[], *([verb] for verb in VERBS)]:
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--help"])
+        assert exc.value.code == 0
+        printed.append(capsys.readouterr().out)
+    assert "".join(printed) == HELP_SNAPSHOT.read_text()
+
+
 # option strings with whether each takes a value, per verb; the help flags
 # exit 0 by design, so they are left out
 VERB_OPTIONS = {

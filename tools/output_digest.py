@@ -32,7 +32,6 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import generate  # noqa: E402
 
 SEEDS = {"circuit-enum": range(1, 11), "table-io": range(1, 4), "quantum-branch": range(1, 11)}
-VERBS = ("", "check", "sim", "invert", "dualrail", "energy", "quantum", "classify")
 # H on 10 qubits, then RX and MEASURE on each: 1024 branches, the walk's largest state
 WIDE = "".join(f"H {q}\n" for q in range(10)) + "".join(f"RX 1.1 {q}\nMEASURE {q}\n" for q in range(10))
 
@@ -59,13 +58,14 @@ def main() -> int:
     sys.path.insert(0, str(src))
     # argparse wraps help and usage to COLUMNS, else to the terminal's width
     os.environ["COLUMNS"] = "80"
-    from revlab.cli import main as cli_main
+    from revlab.cli import _build_parser, main as cli_main
 
     modules = {path.stem: path.read_text() for path in sorted(src.glob("revlab/*.py"))}
     print("lines:", sum(text.count("\n") for text in modules.values()))
     print("numpy:", *(name for name, text in modules.items() if re.search("^import numpy", text, re.M)))
+    verbs = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
     helps = hashlib.sha256()
-    for verb in VERBS:
+    for verb in ("", *verbs):
         helps.update(run(cli_main, [*verb.split(), "--help"])[1].encode())
     print(f"help: sha256 {helps.hexdigest()[:16]}")
 
