@@ -92,9 +92,7 @@ def _check_width(gate: Gate, width: int) -> None:
 
 def apply_gate(gate: Gate, state: BitWord) -> BitWord:
     """Apply one gate to a full-width state word."""
-    _check_width(gate, state.width)
-    *_, final = _words(state.width, (gate,), {}, state)
-    return BitWord(state.width, final)
+    return simulate(Circuit(state.width, (gate,)), state)
 
 
 @dataclass(frozen=True)
@@ -383,5 +381,5 @@ def format_circuit(circuit: Circuit) -> str:
     for line in sorted(circuit.garbage):
         out.append(f"garbage {line}")
     for gate in circuit.gates:
-        out.append(" ".join([gate.kind.value, *map(str, gate.lines)]))
+        out.append((gate.kind.value + " {:d}" * len(gate.lines)).format(*gate.lines))
     return "\n".join(out) + "\n"

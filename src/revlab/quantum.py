@@ -103,7 +103,7 @@ def permutation_matrix(table: TruthTable) -> np.ndarray:
 
 def _check_state(state: np.ndarray) -> tuple[np.ndarray, int]:
     vec = np.asarray(state, dtype=complex).reshape(-1)
-    n = vec.size.bit_length() - 1
+    n = max(vec.size.bit_length() - 1, 0)
     if vec.size != 1 << n:
         raise DimensionMismatch(f"state length {vec.size} is not a power of two")
     return vec, n

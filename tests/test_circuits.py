@@ -1,8 +1,10 @@
 """Gate and circuit layer: semantics, inversion, dual-rail, netlist format."""
 
+import enum
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from revlab import (
@@ -262,6 +264,18 @@ def test_parse_format_round_trip():
         garbage = frozenset(rng.sample(sorted(lines), rng.randint(0, 2)))
         circuit = Circuit(width, circuit.gates, ancillas, garbage)
         assert parse_circuit(format_circuit(circuit)) == circuit
+
+
+def test_a_line_that_equals_an_int_is_written_as_that_int():
+    class Line(enum.IntEnum):
+        TWO = 2
+
+    for line in (True, Line.TWO, np.int64(2), np.uint8(2)):
+        circuit = Circuit(3, (Gate(GateKind.NOT, (line,)),))
+        assert parse_circuit(format_circuit(circuit)) == Circuit(3, (NOT(int(line)),))
+    # a line that equals no int is refused, not truncated
+    with pytest.raises(ValueError):
+        format_circuit(Circuit(3, (Gate(GateKind.NOT, (2.5,)),)))
 
 
 def test_parse_circuit_text():

@@ -134,6 +134,10 @@ def test_apply_validation():
         apply(gate_matrix("H"), state, (2,))
     with pytest.raises(DimensionMismatch):
         apply(gate_matrix("H"), np.ones(3, dtype=complex), (0,))
+    with pytest.raises(DimensionMismatch, match="state length 0 is not a power of two"):
+        apply(gate_matrix("H"), np.array([]), [0])
+    with pytest.raises(DimensionMismatch, match="state length 0 is not a power of two"):
+        measure(np.zeros(0), 0)
 
 
 def test_apply_inverse_round_trip_random_states():

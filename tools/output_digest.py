@@ -3,13 +3,12 @@
     python3 tools/output_digest.py [--workload W] [--seeds N ...] [--src DIR]
 
 In one process, from the `src` given (default: this checkout's), prints its
-line total, the modules that import numpy, a sha256 prefix over every
-`--help` output, the `tracemalloc` peak of a 1024-branch `quantum` run per
-format, and per workload (default: each, at its SEEDS) the job count, a
-sha256 prefix over every job's exit code, stdout and stderr, and the
-in-process time. Inputs are generated under a temporary directory and named
-relative to it, so two checkouts print the same `help:` and digest lines
-exactly when their CLI prints the same bytes, wherever they live.
+line total, the modules that import numpy, the `tracemalloc` peak of a
+1024-branch `quantum` run per format, and per workload (default: each, at its
+SEEDS) the job count, a sha256 prefix over every job's exit code, stdout and
+stderr, and the in-process time. Inputs are generated under a temporary
+directory and named relative to it, so two checkouts print the same digest
+lines exactly when their CLI prints the same bytes, wherever they live.
 """
 
 from __future__ import annotations
@@ -56,18 +55,11 @@ def main() -> int:
     args = parser.parse_args()
     src = args.src.resolve()
     sys.path.insert(0, str(src))
-    # argparse wraps help and usage to COLUMNS, else to the terminal's width
-    os.environ["COLUMNS"] = "80"
-    from revlab.cli import _build_parser, main as cli_main
+    from revlab.cli import main as cli_main
 
     modules = {path.stem: path.read_text() for path in sorted(src.glob("revlab/*.py"))}
     print("lines:", sum(text.count("\n") for text in modules.values()))
     print("numpy:", *(name for name, text in modules.items() if re.search("^import numpy", text, re.M)))
-    verbs = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
-    helps = hashlib.sha256()
-    for verb in ("", *verbs):
-        helps.update(run(cli_main, [*verb.split(), "--help"])[1].encode())
-    print(f"help: sha256 {helps.hexdigest()[:16]}")
 
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
