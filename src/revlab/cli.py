@@ -14,12 +14,13 @@ import functools
 import json
 import sys
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .circuits import Circuit, _column_verdicts, dual_rail_embed, format_circuit, invert_circuit, parse_circuit, simulate, to_truth_table
 from .classify import (
     ControlStyle,
     Environment,
+    LedgerEntry,
     SystemProfile,
     classify,
     format_ledger,
@@ -30,7 +31,7 @@ from .classify import (
 )
 from .energy import EnergyParams, parse_params
 from .errors import ParseError, RevlabError
-from .quantum import _kept, _walk, parse_program, program_qubits, sample_program
+from .quantum import Branch, _kept, _walk, parse_program, program_qubits, sample_program
 from .tables import BitWord, TruthTable, bit_string, format_table, invert, is_conservative, is_reversible, meaningful_lines, parse_table
 
 _EPILOG = "Bit strings are most-significant line first: line 0 is the leftmost character."
@@ -54,7 +55,7 @@ def _yn(flag: bool) -> str:
 
 
 # Each verb returns its exit code and its report, rendered only in the format
-# that was asked for: the text bytes, or a structure main prints as JSON.
+# asked for: its bytes (text, or quantum's JSON) or a structure main prints as JSON.
 def _cmd_check(args: argparse.Namespace) -> tuple[int, str | dict]:
     loaded = _load_any(args.file)
     if isinstance(loaded, TruthTable):
@@ -132,7 +133,28 @@ def _amplitudes(state) -> Iterator[tuple[int, float, float]]:
     return zip(shown.tolist(), state.real[shown].tolist(), state.imag[shown].tolist())
 
 
-def _cmd_quantum(args: argparse.Namespace) -> tuple[int, str | dict]:
+def _quantum_json(n_qubits: int, branches: Iterable[Branch], entry: LedgerEntry) -> Iterator[str]:
+    """The bytes of `json.dumps(report, indent=2)` and a newline for the
+    quantum report's one shape, written straight from each walked branch:
+    ints with `str`, basis labels with `bit_string`, and floats with `repr`,
+    which is what `json` writes for a finite float. Every float here is
+    finite: a probability is a product of kept outcome weights, an amplitude
+    is divided by the root of a normal weight, and `LedgerEntry` checks
+    joules."""
+    yield f'{{\n  "qubits": {n_qubits},\n  "branches": ['
+    sep, close = "\n    ", "]"
+    for branch in branches:
+        outcomes = _json(branch.outcomes, "\n      ")
+        amplitudes = ",\n        ".join(
+            f'{{\n          "basis": "{bit_string(i, n_qubits)}",\n          "re": {re!r},\n          "im": {im!r}\n        }}'
+            for i, re, im in _amplitudes(branch.state)
+        )
+        yield f'{sep}{{\n      "probability": {branch.probability!r},\n      "outcomes": {outcomes},\n      "amplitudes": [\n        {amplitudes}\n      ]\n    }}'
+        sep, close = ",\n    ", "\n  ]"
+    yield f'{close},\n  "measurement": {{\n    "bits": {entry.bits},\n    "joules": {entry.joules!r}\n  }}\n}}\n'
+
+
+def _cmd_quantum(args: argparse.Namespace) -> tuple[int, str]:
     # each appended MEASURE starts a new line, whatever ends the file
     ops = parse_program(Path(args.file).read_text() + "".join(f"\nMEASURE {q}" for q in args.measure or ()))
     n_qubits = program_qubits(ops, args.qubits)
@@ -144,18 +166,7 @@ def _cmd_quantum(args: argparse.Namespace) -> tuple[int, str | dict]:
     else:
         branches = _walk(ops, n_qubits, _kept)
     if args.format == "json":
-        return 0, {
-            "qubits": n_qubits,
-            "branches": [
-                {
-                    "probability": branch.probability,
-                    "outcomes": list(branch.outcomes),
-                    "amplitudes": [{"basis": bit_string(i, n_qubits), "re": re, "im": im} for i, re, im in _amplitudes(branch.state)],
-                }
-                for branch in branches
-            ],
-            "measurement": {"bits": entry.bits, "joules": entry.joules},
-        }
+        return 0, "".join(_quantum_json(n_qubits, branches, entry))
     lines = []
     for branch in branches:
         lines.append(f"outcome {''.join(map(str, branch.outcomes)) or '-'} p={branch.probability:.6f}")

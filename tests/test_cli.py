@@ -472,6 +472,23 @@ def test_quantum_renders_each_branch_as_it_is_walked(files, capsys, fmt):
     assert peak < 0.5 * 1024 * (1 << 10) * 16
 
 
+def test_quantum_json_holds_no_more_than_text(files, capsys):
+    # JSON is written straight from each amplitude, with no dict per amplitude,
+    # so its peak stays near the text report's
+    main(["classify", "--logical-reversible"])  # build the cached parser outside the traced regions
+    path = files("wide.q", WIDE_PROGRAM)
+    peaks = {}
+    for fmt in ("text", "json"):
+        tracemalloc.start()
+        try:
+            assert main(["quantum", path, "--format", fmt]) == 0
+            peaks[fmt] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+    assert peaks["json"] <= 1.15 * peaks["text"]
+
+
 @pytest.mark.parametrize("sample", [[], ["--sample", "1"]], ids=["all", "sample"])
 def test_quantum_walks_a_deep_program(files, capsys, sample):
     # 3000 MEASUREs on one branch each, deeper than Python's recursion limit

@@ -521,6 +521,8 @@ def program_text(ops):
 @example((0, []), 0)  # the empty basis label renders as -
 @example((2, [Op("H", (0,)), Op("RX", (1,), 0.5)]), 0)  # no MEASURE: the history renders as -
 @example((7, _STRADDLE), 0)
+@example((1, [Op("RX", (0,), math.pi), Op("H", (0,))]), 0)  # JSON writes re as 4.329780281177466e-17
+@example((2, [Op("RX", (0,), -math.pi), Op("T", (1,)), Op("H", (1,))]), 0)  # basis 11 has re -0.0
 def test_the_quantum_reports_are_the_bytes_of_the_reference_renderings(program, seed):
     n, ops = program
     entry = measurement_entry(sum(op.name == "MEASURE" for op in ops), EnergyParams())
