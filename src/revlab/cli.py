@@ -55,7 +55,7 @@ def _yn(flag: bool) -> str:
 
 
 # Each verb returns its exit code and its report, rendered only in the format
-# asked for: its bytes (text, or quantum's JSON) or a structure main prints as JSON.
+# asked for: its bytes (text, or dualrail's and quantum's JSON) or a dict for main.
 def _cmd_check(args: argparse.Namespace) -> tuple[int, str | dict]:
     loaded = _load_any(args.file)
     if isinstance(loaded, TruthTable):
@@ -95,12 +95,13 @@ def _cmd_dualrail(args: argparse.Namespace) -> tuple[int, str | dict]:
     base = loaded if isinstance(loaded, TruthTable) else to_truth_table(loaded)
     embedded = dual_rail_embed(base)
     if args.format == "json":
-        return 0, {
-            "rail_width": base.in_width,
-            "in_width": embedded.in_width,
-            "out_width": embedded.out_width,
-            "rows": embedded.rows,
-        }
+        # json.dumps(report, indent=2) for this one shape, every row in one call of
+        # the C encoder, which an indent would swap for the pure-Python one
+        rows = json.dumps(embedded.rows, separators=(",\n    ", ": "))[1:-1]
+        return 0, (
+            f'{{\n  "rail_width": {base.in_width},\n  "in_width": {embedded.in_width},\n'
+            f'  "out_width": {embedded.out_width},\n  "rows": [\n    {rows}\n  ]\n}}\n'
+        )
     return 0, format_table(embedded)
 
 
@@ -144,7 +145,8 @@ def _quantum_json(n_qubits: int, branches: Iterable[Branch], entry: LedgerEntry)
     yield f'{{\n  "qubits": {n_qubits},\n  "branches": ['
     sep, close = "\n    ", "]"
     for branch in branches:
-        outcomes = _json(branch.outcomes, "\n      ")
+        outcomes = ",\n        ".join(map(str, branch.outcomes))
+        outcomes = f"[\n        {outcomes}\n      ]" if outcomes else "[]"
         amplitudes = ",\n        ".join(
             f'{{\n          "basis": "{bit_string(i, n_qubits)}",\n          "re": {re!r},\n          "im": {im!r}\n        }}'
             for i, re, im in _amplitudes(branch.state)
@@ -272,28 +274,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_SCALARS = frozenset((str, int, float, bool, type(None)))
-
-
-def _json(value: object, indent: str = "\n") -> str:
-    """Return exactly `json.dumps(value, indent=2)`, nested at `indent`.
-
-    On Python 3.10-3.12 any `indent` sends `json.dumps` to its pure-Python
-    encoder. So a list of plain scalars, such as a 65 536-row table, goes to
-    the C encoder with the indented item separator, and a dict with str keys
-    is written key by key. Anything else is indented by `json.dumps` and
-    shifted right, which is exact because, with `ensure_ascii`, every literal
-    newline in its output starts an indentation.
-    """
-    inner = indent + "  "
-    if type(value) is dict and value and all(type(key) is str for key in value):
-        items = (f"{json.dumps(key)}: {_json(item, inner)}" for key, item in value.items())
-        return "{" + inner + f",{inner}".join(items) + indent + "}"
-    if type(value) in (list, tuple) and value and _SCALARS.issuperset(map(type, value)):
-        return "[" + inner + json.dumps(value, separators=(f",{inner}", ": "))[1:-1] + indent + "]"
-    return json.dumps(value, indent=2).replace("\n", indent)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -307,9 +287,5 @@ def main(argv: Sequence[str] | None = None) -> int:
     if isinstance(report, str):
         sys.stdout.write(report)
     else:
-        print(_json(report))
+        print(json.dumps(report, indent=2))
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -26,7 +26,8 @@ class LineOutOfRange(RevlabError):
 
 
 class TooWide(RevlabError):
-    """Exhaustive enumeration requested beyond the 16-bit cap."""
+    """Exhaustive enumeration requested beyond a cap: 16 lines, 10 qubits, or
+    2^20 amplitudes over a program's branches."""
 
 
 class MissingParameter(RevlabError):

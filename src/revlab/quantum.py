@@ -130,6 +130,9 @@ def _operator(matrix: np.ndarray, targets: Sequence[int], n: int) -> tuple[np.nd
 # at 10 qubits), and a walk goes depth first, one block at a time, so it holds
 # little beyond the blocks on its path.
 _BLOCK = 16
+# Amplitudes a walk may yield, summed over its branches: 1024 branches of 10
+# qubits, the widest walk the workloads run, meet it exactly.
+_WALK_CAP = 1 << 20
 
 
 def _apply_rows(m: np.ndarray, stack: np.ndarray, n: int, targets: tuple[int, ...]) -> None:
@@ -311,7 +314,8 @@ def _walk(ops: Sequence[Op], n_qubits: int | None, keep) -> Iterator[Branch]:
     rows runs its gates up to the next MEASURE, whose new blocks are pushed
     so that the first runs first. A row's bytes do not depend on its
     block-mates, so each branch has the bytes it would have in any block, and
-    only the blocks on one path of the walk are alive at a time."""
+    only the blocks on one path of the walk are alive at a time. A walk whose
+    branches would hold more than _WALK_CAP amplitudes raises TooWide."""
     n = program_qubits(ops, n_qubits)
     steps = []  # a qubit to measure, or a gate's operator and targets
     for op in ops:
@@ -324,6 +328,7 @@ def _walk(ops: Sequence[Op], n_qubits: int | None, keep) -> Iterator[Branch]:
         else:
             steps.append(_check_qubit(op.qubits[0], n))
     stack = [(0, np.eye(1, 1 << n, dtype=complex), [(1.0, ())])]
+    walked = 0
     while stack:
         i, block, paths = stack.pop()
         while i < len(steps) and isinstance(steps[i], tuple):
@@ -331,6 +336,9 @@ def _walk(ops: Sequence[Op], n_qubits: int | None, keep) -> Iterator[Branch]:
             _apply_rows(m, block, n, targets)
             i += 1
         if i == len(steps):
+            walked += block.size
+            if walked > _WALK_CAP:
+                raise TooWide(f"branches hold more than {_WALK_CAP} amplitudes; sample one path instead (--sample)")
             yield from (Branch(p, outcomes, state) for (p, outcomes), state in zip(paths, block))
         else:
             stack.extend((i + 1, *new) for new in reversed(_measured(block, paths, n, steps[i], keep)))
@@ -345,7 +353,8 @@ def run_program(ops: Sequence[Op], n_qubits: int | None = None) -> list[Branch]:
     """Run from the all-zero state, splitting into a branch per outcome path.
 
     Branches are ordered by outcome history, value 0 explored first; paths
-    whose probability falls below the floor are dropped.
+    whose probability falls below the floor are dropped. Raises TooWide when
+    the branches would hold more than 2^20 amplitudes.
     """
     return list(_walk(ops, n_qubits, _kept))
 

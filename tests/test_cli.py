@@ -780,3 +780,28 @@ def test_a_huge_lines_header_is_a_width_mismatch(verb, files):
     )
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == f"{verb[0]}: circuit takes 99999999999999999999 free input bits, got 2\n"
+
+
+@pytest.mark.parametrize(
+    "program",
+    [
+        # each of 2^17 branches shows 512 amplitudes: 2^26 in all
+        "".join(f"H {q}\n" for q in range(10)) + "H 0\nMEASURE 0\n" * 17,
+        # one past the cap: 2048 branches of 10 qubits
+        WIDE_PROGRAM + "H 0\nMEASURE 0\n",
+    ],
+    ids=["wide-states", "one-past"],
+)
+def test_a_walk_past_its_cap_is_a_domain_error(program, files):
+    """A short program may branch without bound; the walk stops at 2^20
+    amplitudes with one line, not a traceback after a runaway allocation."""
+    path = files("branchy.q", program)
+    proc = subprocess.run(
+        [sys.executable, "-m", "revlab", "quantum", path],
+        capture_output=True,
+        text=True,
+        preexec_fn=_cap_memory_at_one_gib,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "quantum: branches hold more than 1048576 amplitudes; sample one path instead (--sample)\n"

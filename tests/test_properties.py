@@ -30,7 +30,6 @@ import math
 import random
 import tempfile
 from dataclasses import astuple, fields
-from enum import IntEnum
 from pathlib import Path
 
 import numpy as np
@@ -93,7 +92,7 @@ from revlab import (
     wire_dissipation_per_cycle,
 )
 from revlab.circuits import _column_verdicts
-from revlab.cli import _json, main
+from revlab.cli import main
 from revlab.quantum import PROB_FLOOR, _apply_rows, _walk
 from revlab.tables import bit_string, meaningful_lines
 
@@ -1001,39 +1000,15 @@ def test_parse_table_agrees_with_a_per_row_bitword_parser(text):
         assert parse_table(text) == expected
 
 
-class _Rank(IntEnum):
-    LOW = 0
-    HIGH = 1
-
-
-class _Joules(float):
-    pass
-
-
-# strings that hold the writer's own separators, escapes and non-ASCII text
-_JSON_TEXT = st.lists(
-    st.sampled_from([", ", '"', "\n", "\\", "[]", "{}", "é", "→"]) | st.characters(), max_size=4
-).map("".join)
-# plain scalars, and the int and float subclasses that only the stdlib case takes
-_JSON_SCALARS = (
-    st.none() | st.booleans() | st.integers() | st.floats() | _JSON_TEXT
-    | st.sampled_from(_Rank) | st.floats().map(_Joules)
-)
-_JSON_KEYS = _JSON_TEXT | st.integers() | st.floats() | st.booleans() | st.none() | st.sampled_from(_Rank)
-
-
-def _json_containers(items):
-    return (
-        st.lists(items, max_size=6)
-        | st.lists(items, max_size=6).map(tuple)
-        | st.dictionaries(_JSON_TEXT, items, max_size=6)
-        | st.dictionaries(_JSON_KEYS, items, max_size=3)
-    )
-
-
-@given(st.recursive(_JSON_SCALARS, _json_containers, max_leaves=40))
-@example({"rail_width": 1, "rows": [3, 0], "measurement": {"bits": 0, "joules": 0.0}})  # dicts recurse
-@example([0, -1, 2.5, math.nan, -math.inf, True, None, 'a, b"', "\n[é]"])  # scalars in one C call
-@example([{"basis": "01", "re": -0.0}, [], {}, (), {1: _Rank.HIGH}, [_Joules(0.5)]])  # the stdlib's
-def test_the_json_writer_prints_the_bytes_of_indented_json_dumps(value):
-    assert _json(value) == json.dumps(value, indent=2)
+@given(bijections(max_width=8))
+@example(TruthTable(0, 0, (0,)))  # one row
+def test_the_dualrail_report_is_the_bytes_of_indented_json_dumps(f):
+    embedded = dual_rail_embed(f)
+    report = {"rail_width": f.in_width, "in_width": embedded.in_width, "out_width": embedded.out_width, "rows": embedded.rows}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "base.tbl"
+        path.write_text(format_table(f))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["dualrail", str(path), "--format", "json"])
+    assert (code, out.getvalue()) == (0, json.dumps(report, indent=2) + "\n")

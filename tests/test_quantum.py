@@ -415,3 +415,11 @@ def test_run_program_holds_about_one_stack_before_and_one_after_a_measure():
         tracemalloc.stop()
     assert len(branches) == 1024
     assert peak <= 1.25 * 1024 * (1 << 10) * np.dtype(complex).itemsize
+
+
+def test_run_program_refuses_a_walk_past_its_cap():
+    # 1024 branches of 10 qubits meet the cap of 2^20 amplitudes; one more
+    # MEASURE of a superposed qubit doubles them
+    ops = [Op("H", (q,)) for q in range(10)] + [Op("MEASURE", (q,)) for q in range(10)]
+    with pytest.raises(TooWide, match="more than 1048576 amplitudes"):
+        run_program([*ops, Op("H", (0,)), Op("MEASURE", (0,))], 10)
