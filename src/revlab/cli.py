@@ -30,7 +30,7 @@ from .classify import (
     sci6,
 )
 from .energy import EnergyParams, parse_params
-from .errors import ParseError, RevlabError
+from .errors import ParseError, RevlabError, TooWide
 from .quantum import Branch, _kept, _walk, parse_program, program_qubits, sample_program
 from .tables import BitWord, TruthTable, bit_string, format_table, invert, is_conservative, is_reversible, meaningful_lines, parse_table
 
@@ -167,12 +167,15 @@ def _cmd_quantum(args: argparse.Namespace) -> tuple[int, str]:
         branches = [sample_program(ops, args.sample, n_qubits)]
     else:
         branches = _walk(ops, n_qubits, _kept)
-    if args.format == "json":
-        return 0, "".join(_quantum_json(n_qubits, branches, entry))
-    lines = []
-    for branch in branches:
-        lines.append(f"outcome {''.join(map(str, branch.outcomes)) or '-'} p={branch.probability:.6f}")
-        lines.extend(f"  {bit_string(i, n_qubits) or '-'} {re:.6f}{im:+.6f}i" for i, re, im in _amplitudes(branch.state))
+    try:
+        if args.format == "json":
+            return 0, "".join(_quantum_json(n_qubits, branches, entry))
+        lines = []
+        for branch in branches:
+            lines.append(f"outcome {''.join(map(str, branch.outcomes)) or '-'} p={branch.probability:.6f}")
+            lines.extend(f"  {bit_string(i, n_qubits) or '-'} {re:.6f}{im:+.6f}i" for i, re, im in _amplitudes(branch.state))
+    except TooWide as exc:  # only the walk's cap is met here
+        raise TooWide(f"{exc} (--sample)") from None
     if entry.bits:
         lines.append(f"measurement dissipation: {entry.bits} bits, {sci6(entry.joules)} J")
     return 0, "\n".join(lines) + "\n"

@@ -27,7 +27,7 @@ class LineOutOfRange(RevlabError):
 
 class TooWide(RevlabError):
     """Exhaustive enumeration requested beyond a cap: 16 lines, 10 qubits, or
-    2^20 amplitudes over a program's branches."""
+    2^21 amplitudes over the blocks of a program's branch walk."""
 
 
 class MissingParameter(RevlabError):

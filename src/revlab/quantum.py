@@ -130,9 +130,10 @@ def _operator(matrix: np.ndarray, targets: Sequence[int], n: int) -> tuple[np.nd
 # at 10 qubits), and a walk goes depth first, one block at a time, so it holds
 # little beyond the blocks on its path.
 _BLOCK = 16
-# Amplitudes a walk may yield, summed over its branches: 1024 branches of 10
-# qubits, the widest walk the workloads run, meet it exactly.
-_WALK_CAP = 1 << 20
+# Amplitudes a walk may pop, summed over its blocks, so that work whose
+# branches the floor drops counts too. The widest walk the workloads run, 1024
+# branches of 10 qubits, pops 1 + 2 + ... + 1024 rows: 2047 * 2^10, within it.
+_WALK_CAP = 1 << 21
 
 
 def _apply_rows(m: np.ndarray, stack: np.ndarray, n: int, targets: tuple[int, ...]) -> None:
@@ -315,7 +316,7 @@ def _walk(ops: Sequence[Op], n_qubits: int | None, keep) -> Iterator[Branch]:
     so that the first runs first. A row's bytes do not depend on its
     block-mates, so each branch has the bytes it would have in any block, and
     only the blocks on one path of the walk are alive at a time. A walk whose
-    branches would hold more than _WALK_CAP amplitudes raises TooWide."""
+    popped blocks would hold more than _WALK_CAP amplitudes raises TooWide."""
     n = program_qubits(ops, n_qubits)
     steps = []  # a qubit to measure, or a gate's operator and targets
     for op in ops:
@@ -331,14 +332,14 @@ def _walk(ops: Sequence[Op], n_qubits: int | None, keep) -> Iterator[Branch]:
     walked = 0
     while stack:
         i, block, paths = stack.pop()
+        walked += block.size
+        if walked > _WALK_CAP:
+            raise TooWide(f"the branch walk passes {_WALK_CAP} amplitudes; sample one path instead")
         while i < len(steps) and isinstance(steps[i], tuple):
             m, targets = steps[i]
             _apply_rows(m, block, n, targets)
             i += 1
         if i == len(steps):
-            walked += block.size
-            if walked > _WALK_CAP:
-                raise TooWide(f"branches hold more than {_WALK_CAP} amplitudes; sample one path instead (--sample)")
             yield from (Branch(p, outcomes, state) for (p, outcomes), state in zip(paths, block))
         else:
             stack.extend((i + 1, *new) for new in reversed(_measured(block, paths, n, steps[i], keep)))
@@ -354,7 +355,8 @@ def run_program(ops: Sequence[Op], n_qubits: int | None = None) -> list[Branch]:
 
     Branches are ordered by outcome history, value 0 explored first; paths
     whose probability falls below the floor are dropped. Raises TooWide when
-    the branches would hold more than 2^20 amplitudes.
+    the walk would pass 2^21 amplitudes, summed over the rows of every
+    measured and every final block.
     """
     return list(_walk(ops, n_qubits, _kept))
 

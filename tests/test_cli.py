@@ -787,14 +787,18 @@ def test_a_huge_lines_header_is_a_width_mismatch(verb, files):
     [
         # each of 2^17 branches shows 512 amplitudes: 2^26 in all
         "".join(f"H {q}\n" for q in range(10)) + "H 0\nMEASURE 0\n" * 17,
-        # one past the cap: 2048 branches of 10 qubits
+        # one past the cap: 2048 more rows of 10 qubits
         WIDE_PROGRAM + "H 0\nMEASURE 0\n",
+        # every path falls under the probability floor, so no branch is
+        # yielded, after 2^40 rows
+        "".join(f"H {q}\n" for q in range(1, 10)) + "H 0\nMEASURE 0\n" * 40,
     ],
-    ids=["wide-states", "one-past"],
+    ids=["wide-states", "one-past", "all-dropped"],
 )
 def test_a_walk_past_its_cap_is_a_domain_error(program, files):
-    """A short program may branch without bound; the walk stops at 2^20
-    amplitudes with one line, not a traceback after a runaway allocation."""
+    """A short program may branch without bound; the walk stops at 2^21
+    amplitudes with one line, not a traceback after a runaway allocation or
+    a walk that runs for months."""
     path = files("branchy.q", program)
     proc = subprocess.run(
         [sys.executable, "-m", "revlab", "quantum", path],
@@ -804,4 +808,4 @@ def test_a_walk_past_its_cap_is_a_domain_error(program, files):
         timeout=60,
     )
     assert (proc.returncode, proc.stdout) == (1, "")
-    assert proc.stderr == "quantum: branches hold more than 1048576 amplitudes; sample one path instead (--sample)\n"
+    assert proc.stderr == "quantum: the branch walk passes 2097152 amplitudes; sample one path instead (--sample)\n"

@@ -418,8 +418,19 @@ def test_run_program_holds_about_one_stack_before_and_one_after_a_measure():
 
 
 def test_run_program_refuses_a_walk_past_its_cap():
-    # 1024 branches of 10 qubits meet the cap of 2^20 amplitudes; one more
-    # MEASURE of a superposed qubit doubles them
+    # the 1024-branch walk pops 1 + 2 + ... + 1024 rows of 2^10 amplitudes,
+    # within the cap of 2^21; one more MEASURE of a superposed qubit pops
+    # 2048 more rows
     ops = [Op("H", (q,)) for q in range(10)] + [Op("MEASURE", (q,)) for q in range(10)]
-    with pytest.raises(TooWide, match="more than 1048576 amplitudes"):
+    with pytest.raises(TooWide, match="passes 2097152 amplitudes"):
         run_program([*ops, Op("H", (0,)), Op("MEASURE", (0,))], 10)
+
+
+def test_the_walk_cap_counts_every_popped_block_and_is_inclusive():
+    # a MEASURE of a zero qubit keeps one row: the walk pops 1 + k rows of
+    # 2^10 amplitudes, exactly the cap of 2^21 at k = 2047
+    ops = [Op("MEASURE", (9,))] * 2047
+    (branch,) = run_program(ops, 10)
+    assert branch.outcomes == (0,) * 2047
+    with pytest.raises(TooWide, match="passes 2097152 amplitudes"):
+        run_program([*ops, Op("MEASURE", (9,))], 10)

@@ -32,7 +32,7 @@ from workloads import generate  # noqa: E402
 
 SEEDS = {"circuit-enum": range(1, 11), "table-io": range(1, 4), "quantum-branch": range(1, 11)}
 # H on 10 qubits, then RX and MEASURE on each: 1024 branches, the walk's largest
-# state, whose 2^20 amplitudes sit exactly at the walk's cap
+# state; its walk pops 2047 rows of 2^10 amplitudes, one row under the cap
 WIDE = "".join(f"H {q}\n" for q in range(10)) + "".join(f"RX 1.1 {q}\nMEASURE {q}\n" for q in range(10))
 
 
