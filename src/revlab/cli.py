@@ -13,6 +13,7 @@ import dataclasses
 import functools
 import json
 import sys
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -32,7 +33,7 @@ from .classify import (
 from .energy import EnergyParams, parse_params
 from .errors import ParseError, RevlabError, TooWide
 from .quantum import Branch, _kept, _walk, parse_program, program_qubits, sample_program
-from .tables import BitWord, TruthTable, bit_string, format_table, invert, is_conservative, is_reversible, meaningful_lines, parse_table
+from .tables import _CHECK_ROWS, BitWord, TruthTable, _table_text, bit_string, invert, is_conservative, is_reversible, meaningful_lines, parse_table
 
 _EPILOG = "Bit strings are most-significant line first: line 0 is the leftmost character."
 
@@ -55,7 +56,8 @@ def _yn(flag: bool) -> str:
 
 
 # Each verb returns its exit code and its report, rendered only in the format
-# asked for: its bytes (text, or dualrail's and quantum's JSON) or a dict for main.
+# asked for: its bytes (text, or invert's, dualrail's and quantum's JSON), as
+# one str or as pieces written in order, or a dict for main.
 def _cmd_check(args: argparse.Namespace) -> tuple[int, str | dict]:
     loaded = _load_any(args.file)
     if isinstance(loaded, TruthTable):
@@ -81,28 +83,42 @@ def _cmd_sim(args: argparse.Namespace) -> tuple[int, str | dict]:
     return 0, f"{out}\n"
 
 
-def _cmd_invert(args: argparse.Namespace) -> tuple[int, str | dict]:
+def _cmd_invert(args: argparse.Namespace) -> tuple[int, Iterable[str] | dict]:
     loaded = _load_any(args.file)
     if isinstance(loaded, TruthTable):
-        rendered = format_table(invert(loaded))
+        pieces = _table_text(invert(loaded))
     else:
-        rendered = format_circuit(invert_circuit(loaded))
-    return 0, {"inverse": rendered} if args.format == "json" else rendered
+        pieces = [format_circuit(invert_circuit(loaded))]
+    if args.format == "json":
+        # json.dumps(report, indent=2) for this one shape, escaped a piece at a time
+        return 0, chain(['{\n  "inverse": "'], (json.dumps(piece)[1:-1] for piece in pieces), ['"\n}\n'])
+    return 0, pieces
 
 
-def _cmd_dualrail(args: argparse.Namespace) -> tuple[int, str | dict]:
+def _cmd_dualrail(args: argparse.Namespace) -> tuple[int, Iterable[str] | dict]:
     loaded = _load_any(args.file)
     base = loaded if isinstance(loaded, TruthTable) else to_truth_table(loaded)
     embedded = dual_rail_embed(base)
     if args.format == "json":
-        # json.dumps(report, indent=2) for this one shape, every row in one call of
-        # the C encoder, which an indent would swap for the pure-Python one
-        rows = json.dumps(embedded.rows, separators=(",\n    ", ": "))[1:-1]
-        return 0, (
-            f'{{\n  "rail_width": {base.in_width},\n  "in_width": {embedded.in_width},\n'
-            f'  "out_width": {embedded.out_width},\n  "rows": [\n    {rows}\n  ]\n}}\n'
-        )
-    return 0, format_table(embedded)
+        return 0, _dualrail_json(base.in_width, embedded)
+    return 0, _table_text(embedded)
+
+
+def _dualrail_json(rail_width: int, embedded: TruthTable) -> Iterator[str]:
+    """The bytes of `json.dumps(report, indent=2)` and a newline for the
+    dualrail report's one shape, its rows joined a block at a time, each in
+    one call of the C encoder, which an indent would swap for the pure-Python
+    one."""
+    rows = embedded.rows
+    yield (
+        f'{{\n  "rail_width": {rail_width},\n  "in_width": {embedded.in_width},\n'
+        f'  "out_width": {embedded.out_width},\n  "rows": [\n    '
+    )
+    for at in range(0, len(rows), _CHECK_ROWS):
+        if at:
+            yield ",\n    "
+        yield json.dumps(rows[at : at + _CHECK_ROWS], separators=(",\n    ", ": "))[1:-1]
+    yield "\n  ]\n}\n"
 
 
 def _fields(args: argparse.Namespace, record: type) -> dict:
@@ -287,8 +303,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         # a bad value or one that overflows, which are usage errors
         domain = isinstance(exc, RevlabError) and not isinstance(exc, ParseError)
         return 1 if domain else 2
-    if isinstance(report, str):
-        sys.stdout.write(report)
-    else:
+    if isinstance(report, dict):
         print(json.dumps(report, indent=2))
+    else:
+        sys.stdout.writelines([report] if isinstance(report, str) else report)
     return code

@@ -154,11 +154,13 @@ def is_conservative(t: TruthTable) -> bool:
 
 def invert(t: TruthTable) -> TruthTable:
     """Inverse table, with rows (output, input) for each (input, output)."""
-    if not is_reversible(t):
+    inverse: list[int | None] = [None] * len(t.rows)
+    if t.in_width == t.out_width:
+        for x, y in enumerate(t.rows):
+            inverse[y] = x
+    # equal widths and no output repeated leave no slot unwritten
+    if None in inverse:
         raise NotReversible("table is not bijective; no inverse exists")
-    inverse = [0] * len(t.rows)
-    for x, y in enumerate(t.rows):
-        inverse[y] = x
     return TruthTable(t.out_width, t.in_width, tuple(inverse))
 
 
@@ -194,24 +196,15 @@ def parse_table(text: str) -> TruthTable:
     if not 0 <= in_width <= MAX_WIDTH or not 0 <= out_width <= MAX_WIDTH:
         raise ParseError(f"table widths must be in 0..{MAX_WIDTH} in {header!r}")
     bare = f"table {in_width} {out_width}\n"
-    rows = _decode_rows(in_width, out_width, text[len(bare) :]) if text.startswith(bare) else None
+    rows = _decode_rows(in_width, out_width, text, len(bare)) if text.startswith(bare) else None
     if rows is None:
-        rows = _decode_rows(in_width, out_width, _normalised(in_width, out_width, lines))
+        rows = _decode_rows(in_width, out_width, _normalised(in_width, out_width, lines), 0)
     return TruthTable(in_width, out_width, rows)
 
 
 def format_table(t: TruthTable) -> str:
     """Render a table in the text format accepted by parse_table."""
-    n, m = t.in_width, t.out_width
-    size, length = 1 << n, n + m + 5
-    # the header shares the row buffer, so one decode makes the text
-    text = bytearray(f"table {n} {m}\n".encode()) + bytearray(_zero_row(n, m)) * size
-    first = len(text) - size * length
-    for j, column in enumerate(_counting_columns(n)):
-        text[first + j :: length] = column
-    for j, column in enumerate(_digit_columns(t.rows, m)):
-        text[first + n + 4 + j :: length] = column
-    return text.decode("ascii")
+    return "".join(_table_text(t))
 
 
 # The fixed layout: a bare header line, then one row line of in_width + 4 +
@@ -240,24 +233,41 @@ def _counting_columns(width: int) -> list[bytes]:
 _BIT_TEXT = _counting_columns(8)[::-1]
 
 
-def _decode_rows(in_width: int, out_width: int, text: str) -> tuple[int, ...] | None:
-    """The rows of a fixed-layout body, or None when the body is not ASCII,
-    has the wrong length, has a byte out of place or lists its inputs out of
-    counting order."""
+def _table_text(t: TruthTable) -> Iterator[str]:
+    """The text of format_table: the header, then the row lines in blocks of
+    _CHECK_ROWS, each built a byte column at a time. Every block repeats the
+    low input digits, and the high ones are constant within it."""
+    n, m = t.in_width, t.out_width
+    yield f"table {n} {m}\n"
+    low = min(n, _CHECK_ROWS.bit_length() - 1)
+    rows, length = 1 << low, n + m + 5
+    block = bytearray(_zero_row(n, m) * rows)
+    for j, column in enumerate(_counting_columns(low)):
+        block[n - low + j :: length] = column
+    for at in range(0, 1 << n, rows):
+        for j, digit in enumerate(bit_string(at >> low, n - low)):
+            block[j::length] = digit.encode() * rows
+        for j, column in enumerate(_digit_columns(t.rows[at : at + rows], m)):
+            block[n + 4 + j :: length] = column
+        yield block.decode("ascii")
+
+
+def _decode_rows(in_width: int, out_width: int, text: str, start: int) -> tuple[int, ...] | None:
+    """The rows of the fixed-layout body that begins at text[start], or None
+    when the body is not ASCII, has the wrong length, has a byte out of place
+    or lists its inputs out of counting order. The str is read in strided
+    slices, and only one check block or one column is encoded at a time."""
     size, length = 1 << in_width, in_width + out_width + 5
-    if not text.isascii() or len(text) != length << in_width:
+    if not text.isascii() or len(text) - start != length << in_width:
         return None
-    body = text.encode("ascii")
-    del text  # free the str copy before the columns are decoded
-    # checked a block of rows at a time, so no copy of the whole body is made;
     # size and _CHECK_ROWS are powers of two, so the blocks tile the body
     zeros = _zero_row(in_width, out_width) * min(size, _CHECK_ROWS)
     step = len(zeros)
-    if any(body[at : at + step].translate(_ONES_AS_ZEROS) != zeros for at in range(0, len(body), step)):
+    if any(text[at : at + step].encode().translate(_ONES_AS_ZEROS) != zeros for at in range(start, len(text), step)):
         return None
-    if any(body[j::length] != column for j, column in enumerate(_counting_columns(in_width))):
+    if any(text[start + j :: length].encode() != column for j, column in enumerate(_counting_columns(in_width))):
         return None
-    return _column_values((body[in_width + 4 + j :: length] for j in range(out_width)), out_width, size)
+    return _column_values((text[start + in_width + 4 + j :: length].encode() for j in range(out_width)), out_width, size)
 
 
 def _column_values(columns: Iterable[bytes], width: int, count: int) -> tuple[int, ...]:

@@ -3,8 +3,8 @@
     python3 tools/output_digest.py [--workload W] [--seeds N ...] [--src DIR]
 
 In one process, from the `src` given (default: this checkout's), prints its
-line total, the modules that import numpy, the `tracemalloc` peak of a
-1024-branch `quantum` run per format, and per workload (default: each, at its
+line total, the modules that import numpy, the `tracemalloc` peaks of a
+1024-branch `quantum` run and a 16-bit table `invert` per format, and per workload (default: each, at its
 SEEDS) the job count, a sha256 prefix over every job's exit code, stdout and
 stderr, and the in-process time. Inputs are generated under a temporary
 directory and named relative to it, so two checkouts print the same digest
@@ -19,6 +19,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import sys
 import tempfile
@@ -34,6 +35,10 @@ SEEDS = {"circuit-enum": range(1, 11), "table-io": range(1, 4), "quantum-branch"
 # H on 10 qubits, then RX and MEASURE on each: 1024 branches, the walk's largest
 # state; its walk pops 2047 rows of 2^10 amplitudes, one row under the cap
 WIDE = "".join(f"H {q}\n" for q in range(10)) + "".join(f"RX 1.1 {q}\nMEASURE {q}\n" for q in range(10))
+# a seeded 16-bit permutation, the widest table, written here so that every
+# src reads the same bytes
+PERM16 = random.Random(16).sample(range(1 << 16), 1 << 16)
+TABLE16 = "table 16 16\n" + "".join(f"{x:016b} -> {y:016b}\n" for x, y in enumerate(PERM16))
 
 
 def run(main, argv: list[str]) -> list:
@@ -65,15 +70,17 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         Path("wide.qp").write_text(WIDE)
+        Path("perm16.tbl").write_text(TABLE16)
         with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
-            cli_main(["classify", "--logical-reversible"])  # builds the cached parser untraced, so each peak is the quantum run's alone
-        for fmt in ("text", "json"):
-            with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
-                tracemalloc.start()
-                cli_main(["quantum", "wide.qp", "--format", fmt])
-                peak = tracemalloc.get_traced_memory()[1]
-                tracemalloc.stop()
-            print(f"quantum, 1024 branches, {fmt}: tracemalloc peak {peak / 2**20:.3f} MB")
+            cli_main(["classify", "--logical-reversible"])  # builds the cached parser untraced, so each peak is its run's alone
+        for label, argv in (("quantum, 1024 branches", ["quantum", "wide.qp"]), ("table, 16-bit invert", ["invert", "perm16.tbl"])):
+            for fmt in ("text", "json"):
+                with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+                    tracemalloc.start()
+                    cli_main([*argv, "--format", fmt])
+                    peak = tracemalloc.get_traced_memory()[1]
+                    tracemalloc.stop()
+                print(f"{label}, {fmt}: tracemalloc peak {peak / 2**20:.3f} MB")
 
         for workload in [args.workload] if args.workload else SEEDS:
             seeds = args.seeds or SEEDS[workload]
