@@ -294,10 +294,9 @@ def _digit_columns(values: Sequence[int], width: int) -> list[bytes]:
 
 def _normalised(in_width: int, out_width: int, lines: Iterator[str]) -> str:
     """The row lines of a table rewritten into the fixed layout, one line at
-    a time, and sorted into counting order: spacing and row order do not
+    a time, each into its input word's slot: spacing and row order do not
     matter. Raises the first fault in line order."""
-    seen: set[str] = set()
-    body = []
+    body: list[str | None] = [None] * (1 << in_width)
     for line in lines:
         parts = line.split("->")
         if len(parts) != 2:
@@ -308,15 +307,14 @@ def _normalised(in_width: int, out_width: int, lines: Iterator[str]) -> str:
             raise ParseError(f"{exc} in {line!r}") from exc
         if len(src) != in_width or len(dst) != out_width:
             raise ParseError(f"row {line!r} does not match table widths")
-        if src in seen:
+        x = int(src or "0", 2)
+        if body[x] is not None:
             raise ParseError(f"input {src} listed twice in {line!r}")
-        seen.add(src)
-        body.append(f"{src} -> {dst}\n")
-    missing = (1 << in_width) - len(seen)
+        body[x] = f"{src} -> {dst}\n"
+    missing = body.count(None)
     if missing:
         raise ParseError(f"{missing} input word(s) unlisted")
-    # the input digits are fixed-width, so string order is counting order
-    return "".join(sorted(body))
+    return "".join(body)
 
 
 def meaningful_lines(text: str) -> Iterator[str]:

@@ -4,11 +4,13 @@
 
 In one process, from the `src` given (default: this checkout's), prints its
 line total, the modules that import numpy, the `tracemalloc` peaks of a
-1024-branch `quantum` run and a 16-bit table `invert` per format, and per workload (default: each, at its
-SEEDS) the job count, a sha256 prefix over every job's exit code, stdout and
-stderr, and the in-process time. Inputs are generated under a temporary
-directory and named relative to it, so two checkouts print the same digest
-lines exactly when their CLI prints the same bytes, wherever they live.
+1024-branch `quantum` run and of a 16-bit table `invert`, in the layout
+format_table writes and behind a comment line, per format, and per workload
+(default: each, at its SEEDS) the job count, a sha256 prefix over every job's
+exit code, stdout and stderr, and the in-process time. Inputs are generated
+under a temporary directory and named relative to it, so two checkouts print
+the same digest lines exactly when their CLI prints the same bytes, wherever
+they live.
 """
 
 from __future__ import annotations
@@ -71,9 +73,14 @@ def main() -> int:
         os.chdir(tmp)
         Path("wide.qp").write_text(WIDE)
         Path("perm16.tbl").write_text(TABLE16)
+        Path("comment16.tbl").write_text("# a comment\n" + TABLE16)
         with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
             cli_main(["classify", "--logical-reversible"])  # builds the cached parser untraced, so each peak is its run's alone
-        for label, argv in (("quantum, 1024 branches", ["quantum", "wide.qp"]), ("table, 16-bit invert", ["invert", "perm16.tbl"])):
+        for label, argv in (
+            ("quantum, 1024 branches", ["quantum", "wide.qp"]),
+            ("table, 16-bit invert", ["invert", "perm16.tbl"]),
+            ("table, 16-bit invert behind a comment", ["invert", "comment16.tbl"]),
+        ):
             for fmt in ("text", "json"):
                 with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
                     tracemalloc.start()
