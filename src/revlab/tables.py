@@ -13,7 +13,6 @@ character, so the string is the plain binary rendering of the word value.
 
 from __future__ import annotations
 
-import re
 import struct
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -319,22 +318,17 @@ def _normalised(in_width: int, out_width: int, lines: Iterator[str]) -> str:
 
 def meaningful_lines(text: str) -> Iterator[str]:
     """The non-blank lines of an input file, stripped, with '#' comments
-    removed, for every text format the toolkit reads. The text past the
-    first is split into lines only when the caller reads on."""
-    for match in _LINE_TEXT.finditer(text):
-        for line in _uncommented([match.group()]):
-            yield line
-            yield from _uncommented(text[match.end() :].splitlines())
-            return
+    removed, for every text format the toolkit reads. The text is split a
+    run at a time as the caller reads on, and a run ends just after a '\n'."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _LEX_CHARS) + 1 or len(text)
+        yield from filter(None, (raw.split("#", 1)[0].strip() for raw in text[start:end].splitlines()))
+        start = end
 
 
-# A run of anything but the line breaks str.splitlines knows is one line's text.
-_LINE_TEXT = re.compile("[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]+")
-
-
-def _uncommented(raws: Iterable[str]) -> Iterator[str]:
-    """The raw lines that hold more than blanks and a '#' comment, stripped."""
-    return filter(None, (raw.split("#", 1)[0].strip() for raw in raws))
+# A run's least length: a header read splits about this much of a 16-bit table.
+_LEX_CHARS = 4096
 
 
 def parse_int(token: str, line: str) -> int:

@@ -859,6 +859,15 @@ def test_meaningful_lines_are_those_of_a_splitlines_reference(text):
         assert list(meaningful_lines(text[start:])) == reference_meaningful_lines(text[start:])
 
 
+@given(st.integers(0, 32), st.lists(_LEXER_PIECES | st.characters(), max_size=24).map("".join))
+@example(3, "#\r\nA#\x85B")
+def test_meaningful_lines_match_the_reference_where_a_run_ends(short, text):
+    # the lexer splits runs of about _LEX_CHARS characters, so the drawn text
+    # starts just short of where the first run may end
+    text = "x" * (revlab.tables._LEX_CHARS - short) + text + "\n" + text
+    assert list(meaningful_lines(text)) == reference_meaningful_lines(text)
+
+
 def reference_meaningful_lines(text):
     """The meaningful lines of a text, found by splitting all of it into
     lines at once."""
